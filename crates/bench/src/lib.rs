@@ -6,6 +6,8 @@
 //! which are deterministic), then registers Criterion timing groups for
 //! the wall-clock view.
 
+#![forbid(unsafe_code)]
+
 use cc_core::fit_exponent;
 
 /// Print a titled, aligned table to stdout (captured in bench logs).

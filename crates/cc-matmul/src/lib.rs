@@ -16,6 +16,7 @@
 //!   redistribution ([`mm_sparse`]), the [`MmStrategy`] selector, and the
 //!   exact analytic ledger [`mm_sparse_overhead`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Index-driven loops over multiple parallel per-node arrays are the
 // dominant shape in this codebase; the iterator rewrites clippy suggests

@@ -18,6 +18,7 @@
 //! as complexity data points; Borůvka already exercises the same
 //! communication substrate. Recorded in DESIGN.md.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use cc_graph::WeightedGraph;

@@ -10,6 +10,7 @@
 //! * direct SSSP algorithms (BFS flooding, distributed Bellman–Ford) as
 //!   baselines for the trivial `δ(SSSP) ≤ δ(APSP)` arrows.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Index-driven loops over multiple parallel per-node arrays are the
 // dominant shape in this codebase; the iterator rewrites clippy suggests

@@ -15,7 +15,7 @@
 //! **Overhead**: `r` rounds and at most `r·n(n-1)` messages of `width`
 //! bits; one round suffices fault-free.
 
-use cliquesim::{FaultedOutcome, Inbox, NodeCtx, NodeProgram, Outbox, Session, SimError, Status};
+use cliquesim::{Inbox, NodeCtx, NodeProgram, Outbox, Outcome, Session, SimError, Status};
 
 use crate::{decode_exact, encode};
 
@@ -81,7 +81,7 @@ pub fn max_gossip(
     values: &[u64],
     width: usize,
     rounds: usize,
-) -> Result<FaultedOutcome<u64>, SimError> {
+) -> Result<Outcome<Option<u64>>, SimError> {
     assert_eq!(values.len(), session.n(), "one value per node");
     assert!(
         width <= session.bandwidth(),
@@ -92,7 +92,7 @@ pub fn max_gossip(
         .iter()
         .map(|&v| MaxGossip::new(v, width, rounds))
         .collect();
-    session.run_faulted(programs)
+    session.run_byzantine(programs)
 }
 
 #[cfg(test)]
@@ -106,7 +106,7 @@ mod tests {
         let mut session = Session::new(Engine::new(n).with_bandwidth(8));
         let values = [3u64, 99, 7, 12, 0, 42];
         let out = max_gossip(&mut session, &values, 8, 1).unwrap();
-        assert_eq!(out.unanimous(), Some(&99));
+        assert_eq!(out.survivor_unanimous(), Some(&99));
         assert_eq!(out.stats.rounds, 1);
     }
 
@@ -123,7 +123,7 @@ mod tests {
                 .with_fault_plan(FaultPlan::new(0).crash(NodeId(1), 1)),
         );
         let out = max_gossip(&mut session, &values, 8, 3).unwrap();
-        assert_eq!(out.unanimous(), Some(&99));
+        assert_eq!(out.survivor_unanimous(), Some(&99));
         assert!(out.outputs[1].is_none());
         assert_eq!(out.stats.dead_nodes, 1);
     }

@@ -59,8 +59,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cliquesim::{
-    BitString, ByzantineOutcome, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, RunStats, Session,
-    SimError, Status,
+    BitString, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, Outcome, RunStats, Session, SimError,
+    Status,
 };
 
 /// Message tags; a decoded tag outside this set is ignored (a garbled
@@ -240,14 +240,14 @@ impl NodeProgram for BrachaBroadcast {
 /// `width`-bit `value` is reliably broadcast tolerating up to `f` Byzantine
 /// senders. The phase's rounds/bits and all adversary counters land in the
 /// session ledger; agreement should be asserted with
-/// [`ByzantineOutcome::honest_unanimous`].
+/// [`Outcome::honest_unanimous`].
 pub fn bracha_broadcast(
     session: &mut Session,
     source: NodeId,
     value: u64,
     width: usize,
     f: usize,
-) -> Result<ByzantineOutcome<Option<u64>>, SimError> {
+) -> Result<Outcome<Option<Option<u64>>>, SimError> {
     assert!(
         width + 2 <= session.bandwidth(),
         "a {width}-bit value plus 2 tag bits exceeds the engine bandwidth of {}",
@@ -342,7 +342,7 @@ mod tests {
         let n = 7;
         let mut session = Session::new(Engine::new(n).with_bandwidth(10));
         let out = bracha_broadcast(&mut session, NodeId(2), 0x5A, 8, 2).unwrap();
-        assert_eq!(out.unanimous(), Some(&Some(0x5A)));
+        assert_eq!(out.survivor_unanimous(), Some(&Some(0x5A)));
         assert_eq!(out.stats.rounds, 2 * 2 + 6, "2f + 6 rounds");
         let analytic = bracha_overhead(n, 2, 8);
         assert_eq!(out.stats.rounds, analytic.rounds);

@@ -13,9 +13,7 @@
 //! **Overhead**: exactly 2 rounds and up to `(n-1)(n+1)` messages of
 //! `width` bits — one echo round over the one-round bare broadcast.
 
-use cliquesim::{
-    FaultedOutcome, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, Session, SimError, Status,
-};
+use cliquesim::{Inbox, NodeCtx, NodeId, NodeProgram, Outbox, Outcome, Session, SimError, Status};
 
 use crate::{decode_exact, encode, majority};
 
@@ -108,7 +106,7 @@ pub fn echo_broadcast(
     source: NodeId,
     value: u64,
     width: usize,
-) -> Result<FaultedOutcome<Option<u64>>, SimError> {
+) -> Result<Outcome<Option<Option<u64>>>, SimError> {
     assert!(
         width <= session.bandwidth(),
         "echo value of {width} bits exceeds the engine bandwidth of {}",
@@ -118,7 +116,7 @@ pub fn echo_broadcast(
     let programs = (0..n)
         .map(|_| EchoBroadcast::new(source, value, width))
         .collect();
-    session.run_faulted(programs)
+    session.run_byzantine(programs)
 }
 
 #[cfg(test)]
@@ -131,7 +129,7 @@ mod tests {
         let n = 7;
         let mut session = Session::new(Engine::new(n).with_bandwidth(8));
         let out = echo_broadcast(&mut session, NodeId(2), 0xA5, 8).unwrap();
-        assert_eq!(out.unanimous(), Some(&Some(0xA5)));
+        assert_eq!(out.survivor_unanimous(), Some(&Some(0xA5)));
         assert_eq!(out.stats.rounds, 2, "broadcast + echo exchanges");
         assert!(out.faults.is_empty());
     }

@@ -45,6 +45,7 @@
 //! and the quorum layer in turn stops at `f < n/3`, which only the
 //! authenticated tier moves past.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod accusation;

@@ -15,7 +15,7 @@
 //! repeats analytically.
 
 use cliquesim::{
-    FaultedOutcome, Inbox, NodeCtx, NodeProgram, Outbox, RunStats, Session, SimError, Status,
+    Inbox, NodeCtx, NodeProgram, Outbox, Outcome, RunStats, Session, SimError, Status,
 };
 
 use crate::{decode_exact, encode, majority};
@@ -107,7 +107,7 @@ pub fn repeat_broadcast(
     values: &[u64],
     width: usize,
     repeats: usize,
-) -> Result<FaultedOutcome<Vec<Option<u64>>>, SimError> {
+) -> Result<Outcome<Option<Vec<Option<u64>>>>, SimError> {
     assert_eq!(values.len(), session.n(), "one value per node");
     assert!(
         width <= session.bandwidth(),
@@ -118,7 +118,7 @@ pub fn repeat_broadcast(
         .iter()
         .map(|&v| RepeatBroadcast::new(v, width, repeats))
         .collect();
-    session.run_faulted(programs)
+    session.run_byzantine(programs)
 }
 
 /// Analytic round-budget for `extra` additional retransmissions of a phase

@@ -569,8 +569,8 @@ mod tests {
 
         #[test]
         fn prop_empty_crash_set_is_byte_identical(seed in any::<u64>()) {
-            // Transparency, mirroring `assert_empty_plan_transparent`: the
-            // crash-aware plan under an empty crash set must reproduce
+            // Transparency, mirroring `assert_empty_adversary_transparent`:
+            // the crash-aware plan under an empty crash set must reproduce
             // `route_balanced` exactly — same deliveries, same rounds, same
             // bits on the wire.
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);

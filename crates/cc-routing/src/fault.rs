@@ -293,7 +293,7 @@ impl RoutedOutcome {
 /// Demands touching a dead endpoint are dropped at planning time and
 /// reported in [`RoutedOutcome::undeliverable`]; the rest run the static
 /// direct schedule of [`crate::route`] via
-/// [`cliquesim::Session::run_faulted`]. Because each surviving pair uses
+/// [`cliquesim::Session::run_byzantine`]. Because each surviving pair uses
 /// its private link, a planned crash cannot damage survivor traffic: every
 /// demand between surviving endpoints is delivered. Nodes in the crash set
 /// get `None` delivery slots regardless of when (or whether) the engine
@@ -317,7 +317,7 @@ pub fn route_faulted(
     let schedule = schedule_for(&streams, bandwidth);
     let programs = make_programs(n, streams, schedule);
 
-    let outcome = session.run_faulted(programs)?;
+    let outcome = session.run_byzantine(programs)?;
     check_schedule(schedule, outcome.stats.rounds)?;
 
     let mut delivered: Vec<Option<Delivered>> = Vec::with_capacity(n);
@@ -443,7 +443,7 @@ pub fn route_resilient(
         })
         .collect();
 
-    let outcome = session.run_faulted(programs)?;
+    let outcome = session.run_byzantine(programs)?;
     check_schedule(chunks * repeats, outcome.stats.rounds)?;
 
     let mut result = Vec::with_capacity(n);

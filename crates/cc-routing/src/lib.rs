@@ -28,6 +28,7 @@
 //! protocol for per-node balanced instances; the substitution rationale is
 //! documented in DESIGN.md.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Index-driven loops over multiple parallel per-node arrays are the
 // dominant shape in this codebase; the iterator rewrites clippy suggests

@@ -4,12 +4,11 @@
 //! payload)`, so a run with a keyring attached — even one where traitors
 //! forge tags — must be byte-identical across every pool shape in
 //! [`crate::POOL_SHAPES`] and every delivery backend in
-//! [`crate::BACKENDS`]. This
-//! module mirrors [`crate::byzantine`] for the top tier of the adversary
-//! ladder: [`differential_authenticated`] replays the same
-//! `(keyring, plan)` pair over the whole grid, and [`AuthCase`] gives the
-//! acceptance sweep seed-addressed honest-majority adversaries with
-//! replayable `auth[n=…, f=…, seed=…]` labels.
+//! [`crate::BACKENDS`]: [`crate::differential()`] replays an engine
+//! carrying the `(keyring, plan)` pair over the whole grid. This module
+//! gives the acceptance sweep [`AuthCase`]s: seed-addressed
+//! honest-majority adversaries with replayable `auth[n=…, f=…, seed=…]`
+//! labels.
 //!
 //! The authenticated tier's extra obligations, pinned in
 //! `tests/auth_suite.rs` at the workspace root:
@@ -25,9 +24,7 @@
 
 use std::fmt;
 
-use cliquesim::{AuthKeyring, ByzantinePlan, Engine, NodeId, NodeProgram};
-
-use crate::byzantine::{differential_byzantine, ByzantineRun};
+use cliquesim::{AuthKeyring, ByzantinePlan, NodeId};
 
 /// A seed-addressed authenticated-adversary case: `n` nodes, `f`
 /// traitors (honest-majority regime, `f < n/2`), and one seed driving
@@ -44,8 +41,8 @@ pub struct AuthCase {
 }
 
 impl AuthCase {
-    /// A new case; asserts the honest-majority regime `f < n/2` that
-    /// [`differential_authenticated`] sweeps.
+    /// A new case; asserts the honest-majority regime `f < n/2` the
+    /// acceptance sweep covers.
     pub fn new(n: usize, f: usize, seed: u64) -> Self {
         assert!(2 * f < n, "auth cases cover f < n/2 (got n={n}, f={f})");
         Self { n, f, seed }
@@ -94,32 +91,6 @@ pub fn auth_corpus() -> Vec<AuthCase> {
     cases
 }
 
-/// Run node programs under `plan` with `keyring` attached, over every
-/// `(backend, pool shape)` cell, asserting byte-identical outputs,
-/// stats, transcripts, fault reports, and Byzantine reports — the same
-/// contract as [`differential_byzantine`], one tier up. Returns the
-/// reference run for further auditing (its `RunStats` carry the
-/// `signed_messages` / `auth_bits` / `rejected_tags` counters the suite
-/// closes against the adversary's event log).
-///
-/// The factory is called once per cell and must produce identical
-/// programs each time (pass a fixed seed in).
-pub fn differential_authenticated<P, M>(
-    label: &str,
-    base: &Engine,
-    keyring: &AuthKeyring,
-    plan: &ByzantinePlan,
-    make_programs: M,
-) -> ByzantineRun<P::Output>
-where
-    P: NodeProgram,
-    P::Output: PartialEq + fmt::Debug,
-    M: FnMut() -> Vec<P>,
-{
-    let authed = base.clone().with_auth(keyring.clone());
-    differential_byzantine(&format!("{label} {keyring}"), &authed, plan, make_programs)
-}
-
 /// Shared `proptest` strategies over authenticated adversary cases.
 pub mod strategies {
     use super::*;
@@ -153,62 +124,30 @@ pub mod strategies {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cliquesim::{BitString, Inbox, NodeCtx, Outbox, Status};
-
-    /// Three rounds of id gossip under the envelope: programs read the
-    /// payload prefix and ignore the trailing tag, so the fixture works
-    /// with and without a keyring.
-    #[derive(Clone)]
-    struct Gossip {
-        heard: Vec<u64>,
-    }
-
-    impl NodeProgram for Gossip {
-        type Output = Vec<u64>;
-        fn step(
-            &mut self,
-            ctx: &NodeCtx,
-            round: usize,
-            inbox: &Inbox<'_>,
-            outbox: &mut Outbox<'_>,
-        ) -> Status<Vec<u64>> {
-            for (u, m) in inbox.iter() {
-                if let Ok(v) = m.reader().read_uint(ctx.id_width()) {
-                    self.heard.push(u.0 as u64 * 1000 + v);
-                }
-            }
-            if round < 3 {
-                let mut m = BitString::new();
-                m.push_uint(ctx.id.0 as u64, ctx.id_width());
-                outbox.broadcast(&m);
-                return Status::Continue;
-            }
-            Status::Halt(self.heard.clone())
-        }
-    }
-
-    fn gossip(n: usize) -> Vec<Gossip> {
-        (0..n).map(|_| Gossip { heard: Vec::new() }).collect()
-    }
+    use crate::differential::differential;
+    use crate::differential::tests::gossip;
+    use cliquesim::Engine;
 
     #[test]
     fn authenticated_differential_is_stable_across_shapes() {
         // n = 15 ≥ 2·7, so the 7-worker pooled path really engages.
         let n = 15;
         let case = AuthCase::new(n, 5, 42);
-        let plan = case.plan(&[]);
-        let (outputs, stats, transcripts, _, byz) =
-            differential_authenticated("gossip", &Engine::new(n), &case.keyring(), &plan, || {
-                gossip(n)
-            });
-        assert!(outputs.iter().all(|o| o.is_some()), "no one crashes here");
-        assert!(stats.signed_messages > 0, "{case}: nothing was signed");
+        let engine = Engine::new(n)
+            .with_auth(case.keyring())
+            .with_byzantine_plan(case.plan(&[]));
+        let out = differential("gossip", &engine, || gossip(n));
         assert!(
-            stats.rejected_tags > 0,
+            out.outputs.iter().all(|o| o.is_some()),
+            "no one crashes here"
+        );
+        assert!(out.stats.signed_messages > 0, "{case}: nothing was signed");
+        assert!(
+            out.stats.rejected_tags > 0,
             "{case}: garbled+forged traffic must fail verification"
         );
-        assert!(!byz.is_empty());
-        assert_eq!(transcripts.len(), n);
+        assert!(!out.byzantine.is_empty());
+        assert_eq!(out.transcripts.unwrap().len(), n);
     }
 
     #[test]

@@ -1,168 +1,17 @@
-//! Byzantine-conformance runners: the [`ByzantinePlan`] adversary must be
+//! Byzantine-tier conformance helpers. The [`ByzantinePlan`] adversary is
 //! a pure function of `(seed, round, from, to)`, so a run with traitors is
-//! just as schedule-independent as an honest one. This module mirrors
-//! [`crate::faults`] for the stronger tier: the same plan, replayed under
-//! every pool shape in [`POOL_SHAPES`] and every delivery backend in
-//! [`BACKENDS`], must yield byte-identical outputs, [`RunStats`],
-//! transcripts, the same [`FaultReport`], *and* the same
-//! [`ByzantineReport`] event for event — and an empty plan must change
-//! nothing at all.
+//! held to the same grid contract as an honest one by
+//! [`crate::differential()`], and an empty plan to
+//! [`crate::assert_empty_adversary_transparent`].
 //!
-//! It also carries the tier's *negative* obligation:
+//! This module carries the tier's *negative* obligation:
 //! [`equivocation_witness`] searches an all-to-all exchange's outputs for
 //! two honest nodes that a single traitor told different stories — the
 //! proof that per-link majorities (`RepeatBroadcast`) are forged by
-//! equivocation and the quorum layer (`BrachaBroadcast`) is not optional.
-//!
-//! Every panic message carries the plan's label (e.g.
-//! `byz[seed=7, traitors=1, garble=1]`) next to the protocol label, so a
-//! failing conformance run names the exact adversary that reproduces it.
+//! equivocation and the quorum layer (`BrachaBroadcast`) is not optional —
+//! plus `proptest` strategies over `f < n/3` traitor sets.
 
-use cliquesim::{
-    ByzantinePlan, ByzantineReport, Engine, FaultReport, NodeId, NodeProgram, RunStats, Transcript,
-};
-use std::fmt::Debug;
-
-use crate::differential::{BACKENDS, POOL_SHAPES};
-
-/// Everything a Byzantine differential compares: per-node outputs (`None`
-/// for crashed nodes), accumulated stats, full transcripts, the link-fault
-/// event log, and the Byzantine rewrite log.
-pub type ByzantineRun<T> = (
-    Vec<Option<T>>,
-    RunStats,
-    Vec<Transcript>,
-    FaultReport,
-    ByzantineReport,
-);
-
-/// Run node programs under `plan` on every pool shape with transcripts
-/// forced on, asserting byte-identical outputs, stats, transcripts, fault
-/// reports, and Byzantine reports. Returns the sequential run for further
-/// auditing.
-///
-/// The factory is called once per shape and must produce identical
-/// programs each time (pass a fixed seed in, like
-/// [`crate::differential_programs`]).
-pub fn differential_byzantine<P, M>(
-    label: &str,
-    base: &Engine,
-    plan: &ByzantinePlan,
-    mut make_programs: M,
-) -> ByzantineRun<P::Output>
-where
-    P: NodeProgram,
-    P::Output: PartialEq + Debug,
-    M: FnMut() -> Vec<P>,
-{
-    let mut reference: Option<ByzantineRun<P::Output>> = None;
-    for &mode in BACKENDS.iter() {
-        for &threads in POOL_SHAPES.iter() {
-            let tag = format!("{label}@{} under {plan}", mode.tag());
-            let engine = base
-                .clone()
-                .with_transcripts(true)
-                .with_threads_exact(threads)
-                .with_delivery(mode)
-                .with_byzantine_plan(plan.clone());
-            let out = engine
-                .run_byzantine(make_programs())
-                .unwrap_or_else(|e| panic!("{tag}: engine error at threads={threads}: {e}"));
-            let transcripts = out.transcripts.expect("transcripts were requested");
-            match &reference {
-                None => {
-                    reference = Some((
-                        out.outputs,
-                        out.stats,
-                        transcripts,
-                        out.faults,
-                        out.byzantine,
-                    ))
-                }
-                Some((out0, stats0, tr0, faults0, byz0)) => {
-                    assert!(
-                        *out0 == out.outputs,
-                        "{tag}: outputs diverge at threads={threads}"
-                    );
-                    assert!(
-                        *stats0 == out.stats,
-                        "{tag}: RunStats diverge at threads={threads}: {:?} vs {stats0:?}",
-                        out.stats
-                    );
-                    assert!(
-                        *byz0 == out.byzantine,
-                        "{tag}: Byzantine reports diverge at threads={threads}: {:?} vs {byz0:?}",
-                        out.byzantine
-                    );
-                    assert!(
-                        *faults0 == out.faults,
-                        "{tag}: fault reports diverge at threads={threads}: {:?} vs {faults0:?}",
-                        out.faults
-                    );
-                    assert!(
-                        *tr0 == transcripts,
-                        "{tag}: transcripts diverge at threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-    reference.expect("BACKENDS and POOL_SHAPES are non-empty")
-}
-
-/// Assert the engine's transparency guarantee for the Byzantine tier:
-/// attaching an *empty* [`ByzantinePlan`] changes nothing. Runs the
-/// programs once with no plan and once with `ByzantinePlan::new(seed)` (no
-/// traitors, no lies) on every pool shape, and requires byte-identical
-/// outputs, stats, and transcripts — plus an empty rewrite log and zeroed
-/// Byzantine counters.
-pub fn assert_empty_byzantine_transparent<P, M>(label: &str, base: &Engine, mut make_programs: M)
-where
-    P: NodeProgram,
-    P::Output: PartialEq + Debug,
-    M: FnMut() -> Vec<P>,
-{
-    let plan = ByzantinePlan::new(0);
-    assert!(plan.is_empty(), "ByzantinePlan::new must start empty");
-    for &threads in POOL_SHAPES.iter() {
-        let bare = base
-            .clone()
-            .with_transcripts(true)
-            .with_threads_exact(threads)
-            .run(make_programs())
-            .unwrap_or_else(|e| panic!("{label}: bare engine error at threads={threads}: {e}"));
-        let planned = base
-            .clone()
-            .with_transcripts(true)
-            .with_threads_exact(threads)
-            .with_byzantine_plan(plan.clone())
-            .run_byzantine(make_programs())
-            .unwrap_or_else(|e| {
-                panic!("{label}: empty-plan engine error at threads={threads}: {e}")
-            });
-        assert!(
-            planned.byzantine.is_empty(),
-            "{label}: empty plan produced rewrite events at threads={threads}"
-        );
-        assert!(
-            bare.outputs
-                .iter()
-                .map(Some)
-                .eq(planned.outputs.iter().map(|o| o.as_ref())),
-            "{label}: empty plan changed outputs at threads={threads}"
-        );
-        assert!(
-            bare.stats == planned.stats,
-            "{label}: empty plan changed RunStats at threads={threads}: {:?} vs {:?}",
-            planned.stats,
-            bare.stats
-        );
-        assert!(
-            bare.transcripts == planned.transcripts,
-            "{label}: empty plan changed transcripts at threads={threads}"
-        );
-    }
-}
+use cliquesim::{ByzantinePlan, NodeId};
 
 /// Search an all-to-all exchange's outputs for an **equivocation witness**:
 /// two honest nodes `a ≠ b` whose slots for some traitor `t` disagree —
@@ -241,42 +90,9 @@ pub mod strategies {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cliquesim::{BitString, Inbox, NodeCtx, Outbox, Status};
-
-    /// Three rounds of id gossip (same shape as the fault-module fixture):
-    /// order-sensitive enough to notice any nondeterminism.
-    #[derive(Clone)]
-    struct Gossip {
-        heard: Vec<u64>,
-    }
-
-    impl NodeProgram for Gossip {
-        type Output = Vec<u64>;
-        fn step(
-            &mut self,
-            ctx: &NodeCtx,
-            round: usize,
-            inbox: &Inbox<'_>,
-            outbox: &mut Outbox<'_>,
-        ) -> Status<Vec<u64>> {
-            for (u, m) in inbox.iter() {
-                if let Ok(v) = m.reader().read_uint(ctx.id_width()) {
-                    self.heard.push(u.0 as u64 * 1000 + v);
-                }
-            }
-            if round < 3 {
-                let mut m = BitString::new();
-                m.push_uint(ctx.id.0 as u64, ctx.id_width());
-                outbox.broadcast(&m);
-                return Status::Continue;
-            }
-            Status::Halt(self.heard.clone())
-        }
-    }
-
-    fn gossip(n: usize) -> Vec<Gossip> {
-        (0..n).map(|_| Gossip { heard: Vec::new() }).collect()
-    }
+    use crate::differential::differential;
+    use crate::differential::tests::gossip;
+    use cliquesim::Engine;
 
     #[test]
     fn byzantine_differential_is_stable_across_shapes() {
@@ -287,19 +103,16 @@ mod tests {
             .garble(0.6)
             .replay(0.3)
             .silence(0.1);
-        let (outputs, stats, transcripts, faults, byz) =
-            differential_byzantine("gossip", &Engine::new(n), &plan, || gossip(n));
-        assert!(outputs.iter().all(|o| o.is_some()), "no one crashes here");
-        assert!(stats.forged_messages > 0, "{plan}: nothing forged");
-        assert!(faults.is_empty(), "no link-fault plan was attached");
-        assert!(!byz.is_empty());
-        assert_eq!(transcripts.len(), n);
-    }
-
-    #[test]
-    fn empty_byzantine_plan_is_transparent_for_gossip() {
-        let n = 10;
-        assert_empty_byzantine_transparent("gossip", &Engine::new(n), || gossip(n));
+        let engine = Engine::new(n).with_byzantine_plan(plan.clone());
+        let out = differential("gossip", &engine, || gossip(n));
+        assert!(
+            out.outputs.iter().all(|o| o.is_some()),
+            "no one crashes here"
+        );
+        assert!(out.stats.forged_messages > 0, "{plan}: nothing forged");
+        assert!(out.faults.is_empty(), "no link-fault plan was attached");
+        assert!(!out.byzantine.is_empty());
+        assert_eq!(out.transcripts.unwrap().len(), n);
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //! the exact churn schedule that reproduces it — bit-identical on any
 //! host, pool shape, or delivery backend.
 //!
-//! Two obligations are enforced on top of the generic faulted
-//! differential:
+//! Two obligations are enforced:
 //!
-//! * **shape independence** — [`differential_churn`] replays the case
-//!   under every pool shape in [`crate::POOL_SHAPES`] and every delivery
-//!   backend in [`crate::BACKENDS`], asserting byte-identical outputs,
-//!   stats, transcripts, and fault reports (rejoin state sync included);
+//! * **shape independence** — [`crate::differential()`] on an engine
+//!   carrying the case's plan replays it under every pool shape in
+//!   [`crate::POOL_SHAPES`] and every delivery backend in
+//!   [`crate::BACKENDS`], asserting byte-identical outputs, stats,
+//!   transcripts, and fault reports (rejoin state sync included);
 //! * **ledger closure** — [`judge_churn_accounting`] cross-checks the
 //!   [`FaultReport`] against the [`RunStats`] sync counters and the plan's
 //!   downtime windows: every `Rejoined` event names a scheduled rejoin,
@@ -24,17 +24,13 @@
 //!   stats counters equal the event sums (nothing double- or un-counted).
 
 use std::fmt;
-use std::fmt::Debug;
 use std::ops::Range;
 
 use cc_routing::CrashSet;
-use cliquesim::{
-    BitString, Engine, FaultEvent, FaultPlan, FaultReport, NodeId, NodeProgram, RunStats,
-};
+use cliquesim::{BitString, FaultEvent, FaultPlan, FaultReport, NodeId, RunStats};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::faults::{differential_faulted, FaultedRun};
 use crate::routing::Demands;
 
 /// A seed-addressed churn conformance case: `n` nodes under a Poisson
@@ -148,23 +144,6 @@ pub fn churn_corpus() -> Vec<ChurnCase> {
     cases
 }
 
-/// Replay the case's plan under every delivery backend and pool shape
-/// with transcripts forced on, asserting byte-identical outputs, stats,
-/// transcripts, and fault reports. Panic messages carry the replayable
-/// `churn[n=…, seed=…]` label. Returns the reference run for judging.
-pub fn differential_churn<P, M>(
-    case: &ChurnCase,
-    base: &Engine,
-    make_programs: M,
-) -> FaultedRun<P::Output>
-where
-    P: NodeProgram,
-    P::Output: PartialEq + Debug,
-    M: FnMut() -> Vec<P>,
-{
-    differential_faulted(&case.to_string(), base, &case.plan(), make_programs)
-}
-
 /// Close the churn ledger: every `Rejoined` event in `report` must name a
 /// rejoin the plan schedules, replaying exactly the downtime window the
 /// plan implies, and the [`RunStats`] sync counters must equal the event
@@ -230,7 +209,8 @@ pub fn judge_churn_accounting(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cliquesim::{sync_overhead, Inbox, NodeCtx, Outbox, Status};
+    use crate::differential::differential;
+    use cliquesim::{sync_overhead, Engine, Inbox, NodeCtx, NodeProgram, Outbox, Status};
 
     /// Broadcast-until-`horizon` chatter: every live node broadcasts a
     /// one-bit beacon each round and counts what it hears, so churn shows
@@ -290,15 +270,15 @@ mod tests {
     fn churn_differential_is_stable_and_accounted() {
         // n = 15 ≥ 2·7, so the widest pool shape genuinely engages.
         let case = ChurnCase::new(15, 2);
-        let (outputs, stats, _, report) =
-            differential_churn(&case, &Engine::new(15), || chatter(15, 14));
-        judge_churn_accounting(&case.to_string(), &case.plan(), &stats, &report);
-        assert!(stats.rejoined_nodes > 0, "{case}: nothing rejoined");
+        let engine = Engine::new(15).with_fault_plan(case.plan());
+        let out = differential(&case.to_string(), &engine, || chatter(15, 14));
+        judge_churn_accounting(&case.to_string(), &case.plan(), &out.stats, &out.faults);
+        assert!(out.stats.rejoined_nodes > 0, "{case}: nothing rejoined");
         assert!(
-            stats.sync_messages > 0,
+            out.stats.sync_messages > 0,
             "{case}: state sync carried nothing"
         );
-        assert!(outputs[0].is_some(), "spared node 0 must survive");
+        assert!(out.outputs[0].is_some(), "spared node 0 must survive");
     }
 
     #[test]

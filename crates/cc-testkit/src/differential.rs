@@ -1,20 +1,27 @@
 //! Differential execution across engine pool shapes, delivery backends,
-//! and topologies.
+//! topologies, and adversaries.
 //!
-//! PR 1 made the engine's sequential and pooled paths bit-identical on
-//! synthetic programs; this module turns that into a standing obligation
-//! for every *real* protocol. A differential run executes the same
-//! protocol once per `(backend, pool shape)` pair — backends from
-//! [`BACKENDS`] (dense matrix, sparse edge list, and the auto heuristic),
-//! pool shapes from [`POOL_SHAPES`] (sequential, an even 4-worker split,
-//! and a 7-worker pool that divides nothing evenly) — and asserts outputs,
-//! accumulated [`RunStats`], and — for raw program runs — full transcripts
-//! are identical. Any divergence is a scheduler-nondeterminism or
-//! backend-semantics bug, and the panic names the protocol label, the
-//! backend (`label@sparse`), and the offending thread count, so the exact
-//! failing cell is replayable.
+//! The engine promises bit-identical results whether or not its worker
+//! pool engages and whichever delivery backend it picks; this module
+//! turns that into a standing obligation for every *real* protocol. A
+//! differential run executes the same protocol once per `(backend, pool
+//! shape)` pair — backends from [`BACKENDS`] (dense matrix, sparse edge
+//! list, and the auto heuristic), pool shapes from [`POOL_SHAPES`]
+//! (sequential, an even 4-worker split, and a 7-worker pool that divides
+//! nothing evenly) — and asserts outputs, accumulated [`RunStats`], and —
+//! for raw program runs — full transcripts and both adversary event logs
+//! are identical. Every adversary is a pure function of `(seed, round,
+//! from, to)`, so a run under a fault plan, churn, traitors, or a keyring
+//! is held to the same contract. Any divergence is a
+//! scheduler-nondeterminism or backend-semantics bug, and the panic names
+//! the protocol label, the backend (`label@sparse`), the adversaries'
+//! labels (e.g. `plan[seed=7, crashes=1, drop=0.25]`), and the offending
+//! thread count, so the exact failing cell is replayable.
 
-use cliquesim::{DeliveryMode, Engine, NodeProgram, RunStats, Session, Transcript};
+use cliquesim::{
+    ByzantinePlan, DeliveryArena, DeliveryMode, Engine, FaultPlan, NodeProgram, Outcome, RunStats,
+    Session,
+};
 use std::fmt::Debug;
 
 /// Pool shapes every differential run covers: sequential, an even split,
@@ -104,58 +111,157 @@ where
     clique
 }
 
-/// Run raw node programs under every pool shape with transcript
-/// recording forced on, asserting byte-identical outputs, stats, and
-/// transcripts. Returns the sequential run's `(outputs, stats,
-/// transcripts)` for further auditing.
+/// The replayable label of one grid cell: the protocol label, the
+/// backend, and every adversary `engine` carries, e.g.
+/// `gossip@sparse under plan[seed=7, crashes=1] under byz[seed=3, traitors=2] auth[n=15, seed=3]`.
+fn cell_tag(label: &str, engine: &Engine, mode: DeliveryMode) -> String {
+    let mut tag = format!("{label}@{}", mode.tag());
+    if let Some(plan) = engine.fault_plan() {
+        tag += &format!(" under {plan}");
+    }
+    if let Some(plan) = engine.byzantine_plan() {
+        tag += &format!(" under {plan}");
+    }
+    if let Some(keyring) = engine.auth_keyring() {
+        tag += &format!(" {keyring}");
+    }
+    tag
+}
+
+/// Run raw node programs on every `(backend, pool shape)` cell with
+/// transcript recording forced on, under whatever adversaries `base`
+/// carries (fault plan, churn, Byzantine plan, keyring), asserting
+/// byte-identical outputs (`None` for crashed nodes), stats, transcripts,
+/// fault reports, and Byzantine reports. Returns the reference run (dense,
+/// sequential) for further auditing; call [`Outcome::complete`] on it
+/// when no node may crash.
 ///
-/// The factory is called once per shape and must produce identical
-/// programs each time (deterministic construction is the caller's
-/// responsibility — pass a fixed seed in).
-pub fn differential_programs<P, M>(
+/// Every panic names the cell: protocol label, backend, adversary labels
+/// (see the plans' `Display`), and thread count. The factory is called
+/// once per cell and must produce identical programs each time
+/// (deterministic construction is the caller's responsibility — pass a
+/// fixed seed in).
+pub fn differential<P, M>(
     label: &str,
     base: &Engine,
     mut make_programs: M,
-) -> (Vec<P::Output>, RunStats, Vec<Transcript>)
+) -> Outcome<Option<P::Output>>
 where
     P: NodeProgram,
     P::Output: PartialEq + Debug,
     M: FnMut() -> Vec<P>,
 {
-    let mut reference: Option<(Vec<P::Output>, RunStats, Vec<Transcript>)> = None;
+    let mut reference: Option<Outcome<Option<P::Output>>> = None;
     for &mode in BACKENDS.iter() {
+        let tag = cell_tag(label, base, mode);
         for &threads in POOL_SHAPES.iter() {
-            let tag = format!("{label}@{}", mode.tag());
             let engine = base
                 .clone()
                 .with_transcripts(true)
                 .with_threads_exact(threads)
                 .with_delivery(mode);
             let out = engine
-                .run(make_programs())
+                .run_in(make_programs(), &mut DeliveryArena::new())
                 .unwrap_or_else(|e| panic!("{tag}: engine error at threads={threads}: {e}"));
-            let transcripts = out.transcripts.expect("transcripts were requested");
-            match &reference {
-                None => reference = Some((out.outputs, out.stats, transcripts)),
-                Some((out0, stats0, tr0)) => {
-                    assert!(
-                        *out0 == out.outputs,
-                        "{tag}: outputs diverge at threads={threads}"
-                    );
-                    assert!(
-                        *stats0 == out.stats,
-                        "{tag}: RunStats diverge at threads={threads}: {:?} vs {stats0:?}",
-                        out.stats
-                    );
-                    assert!(
-                        *tr0 == transcripts,
-                        "{tag}: transcripts diverge at threads={threads}"
-                    );
-                }
-            }
+            assert!(
+                out.transcripts.is_some(),
+                "{tag}: transcripts were requested"
+            );
+            let Some(out0) = &reference else {
+                reference = Some(out);
+                continue;
+            };
+            assert!(
+                out0.outputs == out.outputs,
+                "{tag}: outputs diverge at threads={threads}"
+            );
+            assert!(
+                out0.stats == out.stats,
+                "{tag}: RunStats diverge at threads={threads}: {:?} vs {:?}",
+                out.stats,
+                out0.stats
+            );
+            assert!(
+                out0.byzantine == out.byzantine,
+                "{tag}: Byzantine reports diverge at threads={threads}: {:?} vs {:?}",
+                out.byzantine,
+                out0.byzantine
+            );
+            assert!(
+                out0.faults == out.faults,
+                "{tag}: fault reports diverge at threads={threads}: {:?} vs {:?}",
+                out.faults,
+                out0.faults
+            );
+            assert!(
+                out0.transcripts == out.transcripts,
+                "{tag}: transcripts diverge at threads={threads}"
+            );
         }
     }
     reference.expect("BACKENDS and POOL_SHAPES are non-empty")
+}
+
+/// Assert the engine's transparency guarantee: attaching *empty*
+/// adversaries changes nothing. On every pool shape, runs the programs
+/// once bare, once under `FaultPlan::new(0)` and once under
+/// `ByzantinePlan::new(0)` (every probability zero, no crashes, no
+/// traitors), and requires byte-identical outputs, stats, and transcripts
+/// — plus empty fault and Byzantine reports.
+pub fn assert_empty_adversary_transparent<P, M>(label: &str, base: &Engine, mut make_programs: M)
+where
+    P: NodeProgram,
+    P::Output: PartialEq + Debug,
+    M: FnMut() -> Vec<P>,
+{
+    let (plan, byz) = (FaultPlan::new(0), ByzantinePlan::new(0));
+    assert!(plan.is_empty(), "FaultPlan::new must start empty");
+    assert!(byz.is_empty(), "ByzantinePlan::new must start empty");
+    let adversaries = [
+        ("empty plan", base.clone().with_fault_plan(plan)),
+        (
+            "empty Byzantine plan",
+            base.clone().with_byzantine_plan(byz),
+        ),
+    ];
+    let run = |engine: &Engine, threads: usize, programs: Vec<P>| {
+        engine
+            .clone()
+            .with_transcripts(true)
+            .with_threads_exact(threads)
+            .run_in(programs, &mut DeliveryArena::new())
+    };
+    for &threads in POOL_SHAPES.iter() {
+        let bare = run(base, threads, make_programs())
+            .unwrap_or_else(|e| panic!("{label}: bare engine error at threads={threads}: {e}"));
+        for (which, engine) in &adversaries {
+            let planned = run(engine, threads, make_programs()).unwrap_or_else(|e| {
+                panic!("{label}: {which} engine error at threads={threads}: {e}")
+            });
+            assert!(
+                planned.faults.is_empty(),
+                "{label}: {which} produced fault events at threads={threads}"
+            );
+            assert!(
+                planned.byzantine.is_empty(),
+                "{label}: {which} produced rewrite events at threads={threads}"
+            );
+            assert!(
+                bare.outputs == planned.outputs,
+                "{label}: {which} changed outputs at threads={threads}"
+            );
+            assert!(
+                bare.stats == planned.stats,
+                "{label}: {which} changed RunStats at threads={threads}: {:?} vs {:?}",
+                planned.stats,
+                bare.stats
+            );
+            assert!(
+                bare.transcripts == planned.transcripts,
+                "{label}: {which} changed transcripts at threads={threads}"
+            );
+        }
+    }
 }
 
 /// Adjacency matrix of the n-cycle, for CONGEST-ring differentials via
@@ -173,7 +279,7 @@ pub fn ring_topology(n: usize) -> Vec<bool> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cliquesim::{BitString, Inbox, NodeCtx, NodeId, Outbox, Status};
 
@@ -239,24 +345,89 @@ mod tests {
         }
     }
 
+    /// Three rounds of id gossip: every node tracks the multiset of ids it
+    /// has heard (order-sensitive enough to notice any nondeterminism).
+    /// Programs read the payload prefix and ignore any trailing tag, so the
+    /// fixture works with and without a keyring.
+    #[derive(Clone)]
+    pub(crate) struct Gossip {
+        heard: Vec<u64>,
+    }
+
+    impl NodeProgram for Gossip {
+        type Output = Vec<u64>;
+        fn step(
+            &mut self,
+            ctx: &NodeCtx,
+            round: usize,
+            inbox: &Inbox<'_>,
+            outbox: &mut Outbox<'_>,
+        ) -> Status<Vec<u64>> {
+            for (u, m) in inbox.iter() {
+                if let Ok(v) = m.reader().read_uint(ctx.id_width()) {
+                    self.heard.push(u.0 as u64 * 1000 + v);
+                }
+            }
+            if round < 3 {
+                let mut m = BitString::new();
+                m.push_uint(ctx.id.0 as u64, ctx.id_width());
+                outbox.broadcast(&m);
+                return Status::Continue;
+            }
+            Status::Halt(self.heard.clone())
+        }
+    }
+
+    pub(crate) fn gossip(n: usize) -> Vec<Gossip> {
+        (0..n).map(|_| Gossip { heard: Vec::new() }).collect()
+    }
+
     #[test]
     fn program_differential_is_stable_across_shapes() {
         // n = 15 ≥ 2·7, so the 7-worker pooled path really engages.
         let n = 15;
-        let (outputs, stats, transcripts) =
-            differential_programs("minid", &Engine::new(n), || vec![MinId(0); n]);
-        assert_eq!(outputs, vec![0; n]);
-        assert_eq!(stats.rounds, 1);
-        assert_eq!(transcripts.len(), n);
+        let out = differential("minid", &Engine::new(n), || vec![MinId(0); n])
+            .complete()
+            .unwrap();
+        assert_eq!(out.outputs, vec![0; n]);
+        assert_eq!(out.stats.rounds, 1);
+        assert_eq!(out.transcripts.unwrap().len(), n);
     }
 
     #[test]
     fn ring_topology_runs_under_congest_restriction() {
         let n = 6;
         let engine = Engine::new(n).with_topology(ring_topology(n));
-        let (outputs, _, _) =
-            differential_programs("ringhop", &engine, || vec![RingHop::default(); n]);
-        assert!(outputs.iter().all(|&ok| ok));
+        let out = differential("ringhop", &engine, || vec![RingHop::default(); n]);
+        assert!(out.outputs.iter().all(|&ok| ok == Some(true)));
+    }
+
+    #[test]
+    fn faulted_differential_is_stable_across_shapes() {
+        // n = 15 ≥ 2·7, so the 7-worker pooled path really engages.
+        let n = 15;
+        let plan = FaultPlan::new(42)
+            .crash(NodeId(3), 2)
+            .drop_messages(0.2)
+            .corrupt_messages(0.1)
+            .truncate_messages(0.05);
+        let out = differential("gossip", &Engine::new(n).with_fault_plan(plan), || {
+            gossip(n)
+        });
+        assert!(out.outputs[3].is_none(), "crashed node has no output");
+        assert_eq!(out.stats.dead_nodes, 1);
+        assert!(
+            out.stats.dropped_messages > 0,
+            "seed 42 must drop something"
+        );
+        assert!(!out.faults.is_empty());
+        assert_eq!(out.transcripts.unwrap().len(), n);
+    }
+
+    #[test]
+    fn empty_adversaries_are_transparent_for_gossip() {
+        let n = 10;
+        assert_empty_adversary_transparent("gossip", &Engine::new(n), || gossip(n));
     }
 
     #[test]

@@ -176,29 +176,13 @@ impl FleetJob {
                 heard: Vec::new(),
             })
             .collect();
-        // Use the most specific run mode the adversary requires, so the
-        // plan's report counters land in the session stats.
-        let outputs: Vec<Option<Vec<u64>>> = match self.adversary {
-            Adversary::None => session
-                .run(programs)
-                .map_err(|e| e.to_string())?
-                .outputs
-                .into_iter()
-                .map(Some)
-                .collect(),
-            Adversary::Faults { .. } => {
-                session
-                    .run_faulted(programs)
-                    .map_err(|e| e.to_string())?
-                    .outputs
-            }
-            Adversary::Byzantine { .. } => {
-                session
-                    .run_byzantine(programs)
-                    .map_err(|e| e.to_string())?
-                    .outputs
-            }
-        };
+        // The general run mode: crashed nodes (if the adversary crashes
+        // any) become `None` slots, and every report counter lands in the
+        // session stats.
+        let outputs = session
+            .run_byzantine(programs)
+            .map_err(|e| e.to_string())?
+            .outputs;
         let mut bytes = Vec::new();
         for slot in &outputs {
             match slot {

@@ -15,33 +15,30 @@
 //! * [`oracle`] — centralized reference implementations (matmul, APSP,
 //!   BFS/SSSP, MST, subgraph counting, covers/dominating sets) that
 //!   re-judge protocol outputs independently of the algorithm crates.
-//! * [`differential`] — runs one protocol under every engine pool shape
-//!   (sequential and pooled) and across communication modes (clique /
-//!   broadcast-only / CONGEST ring where defined), asserting identical
-//!   outputs, [`cliquesim::RunStats`], and transcripts.
+//! * [`mod@differential`] — runs one protocol under every engine pool
+//!   shape (sequential and pooled), every delivery backend, and across
+//!   communication modes (clique / broadcast-only / CONGEST ring where
+//!   defined), asserting identical outputs, [`cliquesim::RunStats`],
+//!   transcripts, and adversary event logs — whatever fault plan, churn,
+//!   Byzantine plan, or keyring the engine carries — and that empty
+//!   adversaries change nothing at all.
 //! * [`audit`] — a transcript replay + bandwidth auditor that re-walks
 //!   recorded [`cliquesim::Transcript`]s and rejects any message over the
 //!   `⌈log₂ n⌉`-bit budget, any send/receive asymmetry, and any run
 //!   exceeding a theorem-declared round bound.
-//! * [`faults`] — fault-conformance runners: the same
-//!   [`cliquesim::FaultPlan`] replayed under every pool shape must yield
-//!   identical outputs, stats, transcripts, and fault reports, and an
-//!   empty plan must change nothing at all.
 //! * [`churn`] — churn-conformance families for the rejoin/state-sync
 //!   tier: seed-addressed [`churn::ChurnCase`]s (Poisson crash/rejoin
-//!   schedules) with replayable `churn[n=…, seed=…]` labels, pool-shape ×
-//!   delivery-backend differentials, and a ledger judge that closes the
-//!   sync counters against the fault report and the plan's downtime.
+//!   schedules) with replayable `churn[n=…, seed=…]` labels and a ledger
+//!   judge that closes the sync counters against the fault report and the
+//!   plan's downtime.
 //! * [`auth`] — authenticated-tier conformance: seed-addressed
 //!   [`auth::AuthCase`]s (`auth[n=…, f=…, seed=…]`) pairing a
 //!   [`cliquesim::AuthKeyring`] with an honest-majority `f < n/2` traitor
-//!   plan, and [`differential_authenticated`] replaying each pair over
-//!   every pool shape × delivery backend with byte-identical results.
-//! * [`byzantine`] — the same obligations for the
-//!   [`cliquesim::ByzantinePlan`] traitor tier, plus the
-//!   [`byzantine::equivocation_witness`] checker that exhibits a single
-//!   traitor forging per-link majorities, and `proptest` strategies for
-//!   `f < n/3` traitor sets.
+//!   plan.
+//! * [`byzantine`] — the [`byzantine::equivocation_witness`] checker
+//!   that exhibits a single [`cliquesim::ByzantinePlan`] traitor forging
+//!   per-link majorities, and `proptest` strategies for `f < n/3` traitor
+//!   sets.
 //! * [`fleet`] — fleet differentials for `cc-service`: pure-data
 //!   [`fleet::FleetJob`] descriptors (instance × workload × engine shape ×
 //!   seed-addressed adversary × DAG edges), a serial-oracle comparison
@@ -65,6 +62,7 @@
 //! via [`instances::Family::ALL`]) — generators are pure functions of
 //! `(family, n, seed)`, so the instance is bit-identical on every host.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;
@@ -73,7 +71,6 @@ pub mod byzantine;
 pub mod certificates;
 pub mod churn;
 pub mod differential;
-pub mod faults;
 pub mod fleet;
 pub mod instances;
 pub mod matmul;
@@ -83,17 +80,14 @@ pub mod routing;
 pub use audit::{
     assert_transcripts_conform, audit_transcripts, AuditReport, AuditSpec, AuditViolation,
 };
-pub use auth::{auth_corpus, differential_authenticated, AuthCase};
-pub use byzantine::{
-    assert_empty_byzantine_transparent, differential_byzantine, equivocation_witness, ByzantineRun,
-};
+pub use auth::{auth_corpus, AuthCase};
+pub use byzantine::equivocation_witness;
 pub use certificates::{assert_corrupted_certificates_rejected, corrupt_labelling};
-pub use churn::{churn_corpus, differential_churn, judge_churn_accounting, ChurnCase};
+pub use churn::{churn_corpus, judge_churn_accounting, ChurnCase};
 pub use differential::{
-    differential_broadcast_only, differential_engines, differential_programs, differential_session,
-    ring_topology, BACKENDS, POOL_SHAPES,
+    assert_empty_adversary_transparent, differential, differential_broadcast_only,
+    differential_engines, differential_session, ring_topology, BACKENDS, POOL_SHAPES,
 };
-pub use faults::{assert_empty_plan_transparent, differential_faulted, FaultedRun};
 pub use fleet::{assert_fleet_matches_serial, fleet_batch, Adversary, FleetJob, Workload};
 pub use instances::{corpus, weighted_corpus, Family, Instance, WeightedFamily, WeightedInstance};
 pub use matmul::{differential_matmul, matmul_corpus, wrap_mm, MmCase, MmFamily, MM_WIDTH};

@@ -255,8 +255,8 @@ pub fn differential_route_balanced_faulted(
 }
 
 /// Assert the planning layer's transparency guarantee, mirroring
-/// `assert_empty_plan_transparent`: with an empty crash set (and an empty
-/// fault plan), `route_faulted` must be byte-identical to `route`, and
+/// `assert_empty_adversary_transparent`: with an empty crash set (and an
+/// empty fault plan), `route_faulted` must be byte-identical to `route`, and
 /// `route_balanced_faulted` to `route_balanced` — same deliveries, same
 /// rounds, same bits — on every pool shape.
 pub fn assert_empty_crash_transparent<M>(label: &str, base: &Engine, mut make_demands: M)

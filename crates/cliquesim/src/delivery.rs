@@ -128,9 +128,6 @@ pub(crate) trait DeliveryBuf: Sized + Send {
     /// Return the pair to the arena for the next run.
     fn put(arena: &mut DeliveryArena, bufs: [Self; 2]);
 
-    /// The full slot slice.
-    fn slots(&self) -> &[Self::Slot];
-
     /// The full slot slice, mutably.
     fn slots_mut(&mut self) -> &mut [Self::Slot];
 
@@ -200,10 +197,6 @@ impl DeliveryBuf for DenseBuf {
 
     fn put(arena: &mut DeliveryArena, bufs: [Self; 2]) {
         arena.dense = Some(bufs);
-    }
-
-    fn slots(&self) -> &[BitString] {
-        &self.slots
     }
 
     fn slots_mut(&mut self) -> &mut [BitString] {
@@ -281,10 +274,6 @@ impl DeliveryBuf for SparseBuf {
 
     fn put(arena: &mut DeliveryArena, bufs: [Self; 2]) {
         arena.sparse = Some(bufs);
-    }
-
-    fn slots(&self) -> &[SparseRow] {
-        &self.rows
     }
 
     fn slots_mut(&mut self) -> &mut [SparseRow] {

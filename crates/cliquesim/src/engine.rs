@@ -7,26 +7,31 @@
 //!
 //! # Execution strategy
 //!
-//! Node steps within a round are independent, so the engine can execute them
-//! on multiple OS threads. With `threads > 1` a **persistent worker pool** is
-//! created once per run: workers park on a round barrier, step a fixed chunk
-//! of nodes, publish a per-chunk accumulator, and park again — no per-round
-//! thread creation. Message delivery is **double-buffered** behind a
-//! pluggable backend (see [`DeliveryMode`]): the dense backend keeps a
-//! sender-major `n × n` matrix, the sparse backend a per-sender edge list
-//! with a shared broadcast payload. Either way nodes write sends into one
-//! buffer while reading the previous round's through a receiver-oriented
-//! inbox view, so delivery is a buffer swap (no O(n²) transpose, and
-//! steady-state rounds allocate nothing — slots are cleared in place,
-//! retaining capacity, and persist across runs via [`DeliveryArena`]).
+//! One round driver runs every round the same way: a main-thread prologue
+//! (crashes, rejoins, activity snapshot), the step phase, and a main-thread
+//! epilogue (round close, the wire pipeline, deadline and cancel checks).
+//! Node steps within a round are independent, so the step phase can run on
+//! a **persistent worker pool** created once per run: workers park on a
+//! round barrier, step a fixed chunk of nodes, publish a per-chunk
+//! accumulator, and park again — no per-round thread creation. Without a
+//! pool the main thread runs the same step function inline over all nodes.
+//! Message delivery is **double-buffered** behind a pluggable backend (see
+//! [`DeliveryMode`]): the dense backend keeps a sender-major `n × n` matrix,
+//! the sparse backend a per-sender edge list with a shared broadcast
+//! payload. Either way nodes write sends into one buffer while reading the
+//! previous round's through a receiver-oriented inbox view, so delivery is
+//! a buffer swap (no O(n²) transpose, and steady-state rounds allocate
+//! nothing — slots are cleared in place, retaining capacity, and persist
+//! across runs via [`DeliveryArena`]).
 //!
-//! Parallel and sequential execution produce bit-identical outputs,
-//! transcripts, and [`RunStats`] (wall-clock timing excluded).
+//! Pooled and inline execution produce bit-identical outputs, transcripts,
+//! and [`RunStats`] (wall-clock timing excluded).
 
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::auth::{AuthKeyring, AuthLedger};
@@ -103,12 +108,13 @@ pub enum SimError {
         limit: Duration,
     },
     /// A node crash-stopped under a [`FaultPlan`], so [`Engine::run`] cannot
-    /// produce an output for every node. Use [`Engine::run_faulted`] to
-    /// observe the partial outputs of the surviving nodes instead.
+    /// produce an output for every node. Use [`Engine::run_in`] to observe
+    /// the partial outputs of the surviving nodes instead.
     NodeCrashed {
         /// The crashed node.
         node: NodeId,
-        /// Round at whose start it stopped participating.
+        /// Round at whose start it stopped participating for good (its
+        /// last crash, if churn crashed it more than once).
         round: usize,
     },
     /// The run was aborted through the cooperative cancellation flag set
@@ -162,7 +168,7 @@ impl fmt::Display for SimError {
             SimError::NodeCrashed { node, round } => write!(
                 f,
                 "node {} crash-stopped in round {round} under the fault plan; \
-                 use run_faulted to observe partial outputs",
+                 use Engine::run_in or Session::run_byzantine to observe partial outputs",
                 node.display()
             ),
             SimError::Cancelled { round } => {
@@ -174,90 +180,84 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Result of a completed run.
-#[derive(Debug)]
-pub struct RunOutcome<T> {
+/// Result of a run: per-node outputs plus everything the run recorded.
+///
+/// [`Engine::run_in`] returns `Outcome<Option<O>>`: a node the attached
+/// [`FaultPlan`] crash-stopped before it halted has no output.
+/// [`Outcome::complete`] restricts that to `Outcome<O>`, which is what
+/// [`Engine::run`] returns.
+///
+/// Traitor nodes under a [`ByzantinePlan`] still run their (honest)
+/// programs and still produce outputs — it is their *outbound messages*
+/// the adversary rewrote — so agreement claims about Byzantine-tolerant
+/// protocols should be stated over the honest nodes only: see
+/// [`Outcome::honest_unanimous`].
+#[derive(Debug, PartialEq)]
+pub struct Outcome<T> {
     /// Local output of each node, indexed by node.
     pub outputs: Vec<T>,
-    /// Accounting for the run.
-    pub stats: RunStats,
-    /// Per-node communication transcripts, if recording was enabled.
-    pub transcripts: Option<Vec<Transcript>>,
-    /// Every fault the adversary applied (empty when no plan was attached —
-    /// and for link-only plans in which no coin came up).
-    pub faults: FaultReport,
-}
-
-impl<T: PartialEq> RunOutcome<T> {
-    /// The common output if all nodes agree (the paper requires decision
-    /// algorithms to be unanimous), `None` otherwise.
-    pub fn unanimous(&self) -> Option<&T> {
-        let first = self.outputs.first()?;
-        self.outputs.iter().all(|o| o == first).then_some(first)
-    }
-}
-
-/// Result of a run under a [`FaultPlan`]: crashed nodes have no output, so
-/// each slot is an `Option`.
-#[derive(Debug)]
-pub struct FaultedOutcome<T> {
-    /// Local output of each node, indexed by node; `None` for nodes the
-    /// plan crash-stopped before they halted.
-    pub outputs: Vec<Option<T>>,
-    /// Accounting for the run, including the fault counters.
-    pub stats: RunStats,
-    /// Per-node communication transcripts, if recording was enabled. A
-    /// crashed node's transcript simply ends at its crash round.
-    pub transcripts: Option<Vec<Transcript>>,
-    /// Every fault the adversary applied, in deterministic order.
-    pub faults: FaultReport,
-}
-
-impl<T: PartialEq> FaultedOutcome<T> {
-    /// Outputs of the nodes that survived to halt, with their ids.
-    pub fn survivors(&self) -> impl Iterator<Item = (NodeId, &T)> + '_ {
-        self.outputs
-            .iter()
-            .enumerate()
-            .filter_map(|(v, o)| o.as_ref().map(|o| (NodeId::from(v), o)))
-    }
-
-    /// The common output if every *surviving* node agrees (and at least one
-    /// node survived), `None` otherwise.
-    pub fn unanimous(&self) -> Option<&T> {
-        let mut survivors = self.survivors().map(|(_, o)| o);
-        let first = survivors.next()?;
-        survivors.all(|o| o == first).then_some(first)
-    }
-}
-
-/// Result of a run under a [`ByzantinePlan`] (and, optionally, a concurrent
-/// [`FaultPlan`]): a [`FaultedOutcome`] plus the Byzantine event log.
-///
-/// Traitor nodes still run their (honest) programs and still produce
-/// outputs — it is their *outbound messages* the adversary rewrote — so
-/// agreement claims about Byzantine-tolerant protocols should be stated
-/// over the honest nodes only: see
-/// [`ByzantineOutcome::honest_unanimous`].
-#[derive(Debug)]
-pub struct ByzantineOutcome<T> {
-    /// Local output of each node, indexed by node; `None` for nodes a
-    /// concurrent fault plan crash-stopped before they halted.
-    pub outputs: Vec<Option<T>>,
-    /// Accounting for the run, including the fault and Byzantine counters.
+    /// Accounting for the run, including the fault, Byzantine and
+    /// authentication counters.
     pub stats: RunStats,
     /// Per-node communication transcripts, if recording was enabled.
     /// Transcripts record what each program *sent* — a traitor's lies are
-    /// visible only in its recipients' inboxes and in the event log.
+    /// visible only in its recipients' inboxes and in the event log — and
+    /// a crashed node's transcript simply ends at its crash round.
     pub transcripts: Option<Vec<Transcript>>,
-    /// Every link/crash fault a concurrent [`FaultPlan`] applied.
+    /// Every link/crash fault the [`FaultPlan`] applied, in deterministic
+    /// order (empty when no plan was attached — and for link-only plans in
+    /// which no coin came up).
     pub faults: FaultReport,
-    /// Every rewrite the Byzantine adversary applied, in deterministic
-    /// order.
+    /// Every rewrite the [`ByzantinePlan`] applied, in deterministic order.
     pub byzantine: ByzantineReport,
 }
 
-impl<T: PartialEq> ByzantineOutcome<T> {
+/// The common item if every item agrees (and there is at least one).
+fn agreed<'a, T: PartialEq + 'a>(mut items: impl Iterator<Item = &'a T>) -> Option<&'a T> {
+    let first = items.next()?;
+    items.all(|o| o == first).then_some(first)
+}
+
+impl<T: PartialEq> Outcome<T> {
+    /// The common output if all nodes agree (the paper requires decision
+    /// algorithms to be unanimous), `None` otherwise. On an
+    /// `Outcome<Option<O>>` this compares the `Option`s themselves; use
+    /// [`Outcome::survivor_unanimous`] for agreement among survivors.
+    pub fn unanimous(&self) -> Option<&T> {
+        agreed(self.outputs.iter())
+    }
+}
+
+impl<T> Outcome<Option<T>> {
+    /// The crash-intolerant restriction: every node's output, or
+    /// [`SimError::NodeCrashed`] naming the first node (by id) that has
+    /// none and the round of the crash that stopped it for good.
+    pub fn complete(self) -> Result<Outcome<T>, SimError> {
+        // Every node without an output crashed (all others halt before a
+        // run completes). Under churn it may have crashed, rejoined and
+        // crashed again: the crash that stopped it for good is its last.
+        let crashed = |v: usize| {
+            let node = NodeId::from(v);
+            let last = self.faults.events.iter().rev().find_map(|e| match e {
+                FaultEvent::Crashed { node: u, round, .. } if *u == node => Some(*round),
+                _ => None,
+            });
+            let round =
+                last.unwrap_or_else(|| unreachable!("node without output must have crashed"));
+            SimError::NodeCrashed { node, round }
+        };
+        let outputs = (self.outputs.into_iter().enumerate())
+            .map(|(v, o)| o.ok_or_else(|| crashed(v)))
+            .collect::<Result<_, _>>()?;
+        Ok(Outcome {
+            outputs,
+            stats: self.stats,
+            transcripts: self.transcripts,
+            faults: self.faults,
+            byzantine: self.byzantine,
+        })
+    }
+
     /// Outputs of the nodes that survived to halt, with their ids.
     pub fn survivors(&self) -> impl Iterator<Item = (NodeId, &T)> + '_ {
         self.outputs
@@ -265,15 +265,15 @@ impl<T: PartialEq> ByzantineOutcome<T> {
             .enumerate()
             .filter_map(|(v, o)| o.as_ref().map(|o| (NodeId::from(v), o)))
     }
+}
 
+impl<T: PartialEq> Outcome<Option<T>> {
     /// The common output if every *surviving* node agrees (and at least one
     /// node survived), `None` otherwise. Includes traitors — use
-    /// [`ByzantineOutcome::honest_unanimous`] for the guarantee
-    /// Byzantine-tolerant protocols actually make.
-    pub fn unanimous(&self) -> Option<&T> {
-        let mut survivors = self.survivors().map(|(_, o)| o);
-        let first = survivors.next()?;
-        survivors.all(|o| o == first).then_some(first)
+    /// [`Outcome::honest_unanimous`] for the guarantee Byzantine-tolerant
+    /// protocols actually make.
+    pub fn survivor_unanimous(&self) -> Option<&T> {
+        agreed(self.survivors().map(|(_, o)| o))
     }
 
     /// The common output if every surviving node *not marked as a traitor
@@ -281,12 +281,11 @@ impl<T: PartialEq> ByzantineOutcome<T> {
     /// otherwise. This is the agreement relation under which Bracha-style
     /// reliable broadcast is correct for `f < n/3`.
     pub fn honest_unanimous(&self, plan: &ByzantinePlan) -> Option<&T> {
-        let mut honest = self
-            .survivors()
-            .filter(|(v, _)| !plan.is_traitor(*v))
-            .map(|(_, o)| o);
-        let first = honest.next()?;
-        honest.all(|o| o == first).then_some(first)
+        agreed(
+            self.survivors()
+                .filter(|(v, _)| !plan.is_traitor(*v))
+                .map(|(_, o)| o),
+        )
     }
 }
 
@@ -431,10 +430,10 @@ impl Engine {
     }
 
     /// Attach a fault-injection adversary (see [`crate::fault`]). The plan
-    /// is applied identically on the sequential and pooled paths; an empty
-    /// plan is guaranteed byte-identical to no plan at all. Runs whose plan
-    /// crashes nodes should use [`Engine::run_faulted`] to observe partial
-    /// outputs — [`Engine::run`] turns a crash into [`SimError::NodeCrashed`].
+    /// is applied identically whatever the pool shape; an empty plan is
+    /// guaranteed byte-identical to no plan at all. Runs whose plan crashes
+    /// nodes should use [`Engine::run_in`] to observe partial outputs —
+    /// [`Engine::run`] turns a crash into [`SimError::NodeCrashed`].
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(Arc::new(plan));
         self
@@ -460,11 +459,11 @@ impl Engine {
 
     /// Attach a Byzantine sender adversary (see [`crate::byzantine`]): the
     /// plan's traitor nodes get their outbound messages rewritten per
-    /// recipient. Applied identically on the sequential and pooled paths;
-    /// an empty plan is guaranteed byte-identical to no plan at all.
-    /// Composes with [`Engine::with_fault_plan`]: each round, traitors lie
-    /// first, then link faults damage what was actually transmitted. Use
-    /// [`Engine::run_byzantine`] to observe the per-event rewrite log.
+    /// recipient. Applied identically whatever the pool shape; an empty
+    /// plan is guaranteed byte-identical to no plan at all. Composes with
+    /// [`Engine::with_fault_plan`]: each round, traitors lie first, then
+    /// link faults damage what was actually transmitted. The per-event
+    /// rewrite log is [`Outcome::byzantine`].
     pub fn with_byzantine_plan(mut self, plan: ByzantinePlan) -> Self {
         self.byzantine_plan = Some(Arc::new(plan));
         self
@@ -494,6 +493,17 @@ impl Engine {
     /// The attached keyring, if any (see [`Engine::with_auth`]).
     pub fn auth_keyring(&self) -> Option<&AuthKeyring> {
         self.auth.as_deref()
+    }
+
+    /// The attached fault plan, if any (see [`Engine::with_fault_plan`]).
+    pub fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.fault_plan.as_deref()
+    }
+
+    /// The attached Byzantine plan, if any (see
+    /// [`Engine::with_byzantine_plan`]).
+    pub fn byzantine_plan(&self) -> Option<&ByzantinePlan> {
+        self.byzantine_plan.as_deref()
     }
 
     /// Abort the run with [`SimError::DeadlineExceeded`] once `limit` of
@@ -567,8 +577,12 @@ impl Engine {
     }
 
     /// Step nodes on up to `threads` OS threads via a per-run persistent
-    /// worker pool. Results are identical to the sequential engine; only
+    /// worker pool. Results are identical to an inline run; only
     /// wall-clock changes.
+    ///
+    /// The pool engages only when `threads > 1` and `n ≥ 2·threads`
+    /// (every worker gets at least two nodes); otherwise the main thread
+    /// steps every node inline.
     ///
     /// The pool is capped at the host's available parallelism: workers
     /// beyond the core count cannot execute concurrently and would only add
@@ -602,103 +616,30 @@ impl Engine {
         self.bandwidth
     }
 
-    /// Run one program instance per node to completion.
-    ///
-    /// If the attached [`FaultPlan`] crash-stops a node, the run fails with
-    /// [`SimError::NodeCrashed`] — this entry point promises an output for
-    /// every node. Protocols meant to tolerate crashes use
-    /// [`Engine::run_faulted`] instead.
-    pub fn run<P: NodeProgram>(&self, programs: Vec<P>) -> Result<RunOutcome<P::Output>, SimError> {
-        self.run_in(programs, &mut DeliveryArena::new())
+    /// Run one program instance per node to completion, promising an
+    /// output for every node: if the attached [`FaultPlan`] leaves a node
+    /// crash-stopped, the run fails with [`SimError::NodeCrashed`]. This is
+    /// [`Engine::run_in`] on a fresh arena, restricted by
+    /// [`Outcome::complete`].
+    pub fn run<P: NodeProgram>(&self, programs: Vec<P>) -> Result<Outcome<P::Output>, SimError> {
+        self.run_in(programs, &mut DeliveryArena::new())?.complete()
     }
 
-    /// Like [`Engine::run`], but checking the delivery buffers out of (and
-    /// back into) `arena`, so repeated runs reuse allocations instead of
-    /// re-allocating per run. [`crate::Session`] routes every phase through
-    /// its own arena; stats are unaffected by reuse (all accounting is in
-    /// logical messages, never retained capacity).
+    /// The engine's one general entry point: run one program instance per
+    /// node under whatever adversaries are attached, reporting crashed
+    /// nodes as `None` outputs and returning the fault report and the
+    /// Byzantine rewrite log alongside the stats.
+    ///
+    /// Delivery buffers are checked out of (and back into) `arena`, so
+    /// repeated runs reuse allocations instead of re-allocating per run;
+    /// [`crate::Session`] routes every phase through its own arena. Stats
+    /// are unaffected by reuse (all accounting is in logical messages,
+    /// never retained capacity).
     pub fn run_in<P: NodeProgram>(
         &self,
         programs: Vec<P>,
         arena: &mut DeliveryArena,
-    ) -> Result<RunOutcome<P::Output>, SimError> {
-        let faulted = self.run_faulted_in(programs, arena)?;
-        let mut outputs = Vec::with_capacity(faulted.outputs.len());
-        for (v, o) in faulted.outputs.into_iter().enumerate() {
-            match o {
-                Some(o) => outputs.push(o),
-                None => {
-                    let node = NodeId::from(v);
-                    let round = match faulted.faults.crash_round(node) {
-                        Some(r) => r,
-                        // A missing output without a crash event would be an
-                        // engine bug: every non-crashed node halts (with an
-                        // output) before the run completes.
-                        None => unreachable!("node without output must have crashed"),
-                    };
-                    return Err(SimError::NodeCrashed { node, round });
-                }
-            }
-        }
-        Ok(RunOutcome {
-            outputs,
-            stats: faulted.stats,
-            transcripts: faulted.transcripts,
-            faults: faulted.faults,
-        })
-    }
-
-    /// Run one program instance per node under the attached [`FaultPlan`]
-    /// (or none), reporting crashed nodes as `None` outputs instead of
-    /// failing the run.
-    ///
-    /// Delegates to [`Engine::run_byzantine`] and drops the per-event
-    /// Byzantine rewrite log; if a [`ByzantinePlan`] is attached, its
-    /// aggregate counters still appear in the returned stats.
-    pub fn run_faulted<P: NodeProgram>(
-        &self,
-        programs: Vec<P>,
-    ) -> Result<FaultedOutcome<P::Output>, SimError> {
-        self.run_faulted_in(programs, &mut DeliveryArena::new())
-    }
-
-    /// Like [`Engine::run_faulted`], but reusing `arena`'s delivery buffers
-    /// (see [`Engine::run_in`]).
-    pub fn run_faulted_in<P: NodeProgram>(
-        &self,
-        programs: Vec<P>,
-        arena: &mut DeliveryArena,
-    ) -> Result<FaultedOutcome<P::Output>, SimError> {
-        let out = self.run_byzantine_in(programs, arena)?;
-        Ok(FaultedOutcome {
-            outputs: out.outputs,
-            stats: out.stats,
-            transcripts: out.transcripts,
-            faults: out.faults,
-        })
-    }
-
-    /// Run one program instance per node under the attached
-    /// [`ByzantinePlan`] and/or [`FaultPlan`] (or neither), reporting
-    /// crashed nodes as `None` outputs and returning the full Byzantine
-    /// rewrite log alongside the fault report. This is the engine's most
-    /// general entry point; [`Engine::run_faulted`] and [`Engine::run`]
-    /// are restrictions of it.
-    pub fn run_byzantine<P: NodeProgram>(
-        &self,
-        programs: Vec<P>,
-    ) -> Result<ByzantineOutcome<P::Output>, SimError> {
-        self.run_byzantine_in(programs, &mut DeliveryArena::new())
-    }
-
-    /// Like [`Engine::run_byzantine`], but reusing `arena`'s delivery
-    /// buffers (see [`Engine::run_in`]). All three entry points funnel
-    /// here, so validation and setup exist exactly once.
-    pub fn run_byzantine_in<P: NodeProgram>(
-        &self,
-        programs: Vec<P>,
-        arena: &mut DeliveryArena,
-    ) -> Result<ByzantineOutcome<P::Output>, SimError> {
+    ) -> Result<Outcome<Option<P::Output>>, SimError> {
         // Validate before any buffer checkout: rejecting a wrong-sized
         // program vector must not cost 2·n² message slots.
         if programs.len() != self.n {
@@ -713,12 +654,13 @@ impl Engine {
         }
     }
 
-    /// The shared run loop, generic over the delivery backend.
+    /// Set up a run on delivery backend `B`, drive it, and collect the
+    /// outcome.
     fn run_core<P: NodeProgram, B: DeliveryBuf>(
         &self,
         mut programs: Vec<P>,
         arena: &mut DeliveryArena,
-    ) -> Result<ByzantineOutcome<P::Output>, SimError> {
+    ) -> Result<Outcome<Option<P::Output>>, SimError> {
         let n = self.n;
         let ctxs: Vec<NodeCtx> = (0..n)
             .map(|v| NodeCtx {
@@ -740,596 +682,465 @@ impl Engine {
         let mut bufs = B::take(arena, n);
         let mut halted = vec![false; n];
         let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
-        let mut transcripts: Option<Vec<Transcript>> = self
-            .record_transcripts
-            .then(|| vec![Transcript::default(); n]);
-        let mut stats = RunStats::default();
-        let mut report = FaultReport::default();
-        let mut byz_report = ByzantineReport::default();
-        // An empty plan must be transparent: skip every fault hook.
-        let plan = self.fault_plan.as_deref().filter(|p| !p.is_empty());
-        let byz = self.byzantine_plan.as_deref().filter(|p| !p.is_empty());
-        let auth = self.auth.as_deref();
-        // The round book borrows `stats` for the whole loop, so the
-        // envelope passes charge a local ledger folded in afterwards.
-        let mut auth_ledger = AuthLedger::default();
-        let watchdog = self.deadline.map(|limit| (Instant::now(), limit));
-
-        let threads = if self.cap_threads_to_host {
-            let host = std::thread::available_parallelism().map_or(1, |p| p.get());
-            self.threads.min(host)
-        } else {
-            self.threads
-        };
-        let result = if threads > 1 && n >= 2 * threads {
-            self.run_pooled(
-                threads,
-                &mut programs,
-                &ctxs,
-                &mut bufs,
-                &mut halted,
-                &mut outputs,
-                &mut transcripts,
-                &mut stats,
-                plan,
-                &mut report,
-                byz,
-                &mut byz_report,
-                auth,
-                &mut auth_ledger,
-                watchdog,
-            )
-        } else {
-            self.run_sequential(
-                &mut programs,
-                &ctxs,
-                &mut bufs,
-                &mut halted,
-                &mut outputs,
-                &mut transcripts,
-                &mut stats,
-                plan,
-                &mut report,
-                byz,
-                &mut byz_report,
-                auth,
-                &mut auth_ledger,
-                watchdog,
-            )
-        };
+        let mut book = RoundBook::new(self);
+        let result = self.drive(
+            driver::Cells::share(&mut programs, &mut halted, &mut outputs, &mut bufs),
+            &ctxs,
+            &mut book,
+        );
         // Return the buffers even on a failed run, so the next run through
         // the same arena still reuses the allocations.
         B::put(arena, bufs);
         result?;
-
-        report.tally_into(&mut stats);
-        byz_report.tally_into(&mut stats);
-        auth_ledger.tally_into(&mut stats);
-        Ok(ByzantineOutcome {
-            outputs,
-            stats,
-            transcripts,
-            faults: report,
-            byzantine: byz_report,
-        })
+        Ok(book.finish(outputs))
     }
 
-    /// Single-threaded round loop over the double-buffered delivery buffers.
-    #[allow(clippy::too_many_arguments)]
-    fn run_sequential<P: NodeProgram, B: DeliveryBuf>(
+    /// Worker count the step phase may use: the configured thread count,
+    /// capped at the host's parallelism unless set exactly.
+    fn pool_threads(&self) -> usize {
+        if self.cap_threads_to_host {
+            let host = std::thread::available_parallelism().map_or(1, |p| p.get());
+            self.threads.min(host)
+        } else {
+            self.threads
+        }
+    }
+
+    /// The one step function: step nodes `nodes.lo..` for one round and
+    /// validate what they sent. Pool workers run it on their own chunk;
+    /// without a pool the main thread runs it inline over every node.
+    fn step_chunk<P: NodeProgram, B: DeliveryBuf>(
         &self,
-        programs: &mut [P],
+        nodes: driver::Nodes<'_, P, B>,
         ctxs: &[NodeCtx],
-        bufs: &mut [B; 2],
-        halted: &mut [bool],
-        outputs: &mut [Option<P::Output>],
-        transcripts: &mut Option<Vec<Transcript>>,
-        stats: &mut RunStats,
-        plan: Option<&FaultPlan>,
-        report: &mut FaultReport,
-        byz: Option<&ByzantinePlan>,
-        byz_report: &mut ByzantineReport,
-        auth: Option<&AuthKeyring>,
-        auth_ledger: &mut AuthLedger,
-        watchdog: Option<(Instant, Duration)>,
+        round: usize,
+    ) -> Result<ChunkAcc, SimError> {
+        let (n, cur) = (self.n, nodes.cur);
+        let mut acc = ChunkAcc::default();
+        let mine = nodes
+            .programs
+            .iter_mut()
+            .zip(nodes.halted)
+            .zip(nodes.outputs);
+        // `row` is relative to the chunk's write rows `cur`; `ctx.id` is
+        // the node's absolute id.
+        for (row, ((prog, halted), output)) in mine.enumerate() {
+            B::clear_row(cur, n, row);
+            if *halted {
+                continue;
+            }
+            let ctx = &ctxs[nodes.lo + row];
+            let inbox = B::inbox(nodes.prev, n, ctx.id.index());
+            let status = {
+                let mut outbox = B::outbox(cur, n, row, ctx.id.index());
+                // A panicking program becomes a structured error, not a
+                // torn-down pool: the engine (and its caller) must stay
+                // usable after a buggy algorithm.
+                catch_unwind(AssertUnwindSafe(|| {
+                    prog.step(ctx, round, &inbox, &mut outbox)
+                }))
+                .map_err(|payload| SimError::NodeProgramPanicked {
+                    node: ctx.id,
+                    round,
+                    message: panic_message(payload),
+                })?
+            };
+            if let Status::Halt(out) = status {
+                *halted = true;
+                *output = Some(out);
+            }
+            B::seal_row(cur, n, row);
+            self.admit_row::<B>(cur, row, ctx, round, &mut acc)?;
+        }
+        Ok(acc)
+    }
+
+    /// Check node `ctx.id`'s sealed sender row against the model (CONGEST
+    /// topology, broadcast restriction, bandwidth) and charge it to `acc`.
+    fn admit_row<B: DeliveryBuf>(
+        &self,
+        cur: &[B::Slot],
+        row: usize,
+        ctx: &NodeCtx,
+        round: usize,
+        acc: &mut ChunkAcc,
     ) -> Result<(), SimError> {
         let n = self.n;
-        let mut book = RoundBook::new(
-            n,
-            self.max_rounds,
-            stats,
-            transcripts.as_mut(),
-            plan,
-            self.fault_offset,
-        );
-        let mut active = vec![true; n];
-        let [buf_a, buf_b] = bufs;
-        let mut round = 0usize;
-        loop {
-            if let Some(plan) = plan {
-                // Crashes fire before the activity snapshot: a node crashing
-                // in round r never steps in it, and the messages it was due
-                // to read this round (written last round) are lost. Rejoins
-                // fire right after: a node due back this round is replayed
-                // over its missed window and steps again from this round on.
-                let inbound: &B = if round.is_multiple_of(2) {
-                    buf_b
-                } else {
-                    buf_a
-                };
-                let view = B::view(inbound.slots(), n);
-                plan.apply_crashes(self.fault_offset + round, halted, &view, report);
-                book.process_churn::<P>(
-                    round, plan, programs, ctxs, halted, outputs, &view, report,
-                )?;
-            }
-            for v in 0..n {
-                active[v] = !halted[v];
-            }
-            let (cur, prev): (&mut B, &B) = if round.is_multiple_of(2) {
-                (&mut *buf_a, &*buf_b)
-            } else {
-                (&mut *buf_b, &*buf_a)
-            };
-            let step_start = Instant::now();
-            let mut acc = ChunkAcc::default();
-            {
-                let cur_slots = cur.slots_mut();
-                let prev_slots = prev.slots();
-                for v in 0..n {
-                    B::clear_row(cur_slots, n, v);
-                    if halted[v] {
-                        continue;
-                    }
-                    step_one::<P, B>(
-                        &mut programs[v],
-                        &ctxs[v],
+        let v = ctx.id.index();
+        if !self.topology.is_empty() {
+            for (u, _m) in B::row_iter(cur, n, row, v) {
+                if !self.topology[v * n + u] {
+                    return Err(SimError::TopologyViolated {
+                        from: ctx.id,
+                        to: NodeId::from(u),
                         round,
-                        prev_slots,
-                        cur_slots,
-                        v,
-                        self.bandwidth,
-                        self.broadcast_only,
-                        &self.topology,
-                        &mut halted[v],
-                        &mut outputs[v],
-                        &mut acc,
-                    )?;
+                    });
                 }
             }
-            let step_end = Instant::now();
-            match book.close_round(
-                round,
-                acc,
-                &B::view(cur.slots(), n),
-                &B::view(prev.slots(), n),
-                halted,
-                &active,
-                step_start,
-                step_end,
-            ) {
-                Verdict::Continue => {
-                    if let Some(byz) = byz {
-                        // Byzantine rewrites strike first, after the round
-                        // closes: stats and transcripts record what the
-                        // traitor's (honest) program *sent*; next round's
-                        // inboxes see the lies. `prev` is what the traitor
-                        // received this round — the adaptive-lying input.
-                        byz.apply_rewrites(
+        }
+        if self.broadcast_only {
+            // All non-empty outgoing messages must be identical, and a node
+            // either addresses everyone or no one.
+            let mut common: Option<&BitString> = None;
+            let mut nonempty = 0;
+            for (_u, m) in B::row_iter(cur, n, row, v) {
+                nonempty += 1;
+                match common {
+                    None => common = Some(m),
+                    Some(c) if c == m => {}
+                    _ => {
+                        return Err(SimError::BroadcastViolated {
+                            from: ctx.id,
                             round,
-                            &mut B::view_mut(cur.slots_mut(), n),
-                            &B::view(prev.slots(), n),
-                            byz_report,
-                        );
+                        })
                     }
-                    if let Some(keyring) = auth {
-                        // Signing runs after the payload rewrites: a
-                        // traitor's lies are validly signed with its own
-                        // key (it owns it), while everything downstream —
-                        // forged tags, wire damage — breaks the tag.
-                        keyring.sign_round(
-                            round,
-                            &mut B::view_mut(cur.slots_mut(), n),
-                            auth_ledger,
-                        );
-                        if let Some(byz) = byz {
-                            byz.apply_tag_forgeries(
-                                round,
-                                &mut B::view_mut(cur.slots_mut(), n),
-                                byz_report,
-                            );
-                        }
-                    }
-                    if let Some(plan) = plan {
-                        // Link faults strike after the round closes (and
-                        // after any Byzantine rewrite): stats and
-                        // transcripts record what was *sent*; next round's
-                        // inboxes see what *survived* the wire.
-                        plan.apply_link_faults(
-                            self.fault_offset + round,
-                            &mut B::view_mut(cur.slots_mut(), n),
-                            report,
-                        );
-                    }
-                    if let Some(keyring) = auth {
-                        // Verification is the last word on the wire: any
-                        // frame whose tag fails (forged or damaged after
-                        // signing) is cleared before delivery.
-                        keyring.verify_round(
-                            round,
-                            &mut B::view_mut(cur.slots_mut(), n),
-                            auth_ledger,
-                        );
-                    }
-                    if let Some((start, limit)) = watchdog {
-                        if start.elapsed() >= limit {
-                            return Err(SimError::DeadlineExceeded { limit });
-                        }
-                    }
-                    if let Some(flag) = &self.cancel {
-                        if flag.load(Ordering::Relaxed) {
-                            return Err(SimError::Cancelled { round });
-                        }
-                    }
-                    round += 1;
                 }
-                Verdict::Done => {
-                    book.settle_churn();
+            }
+            if nonempty != 0 && nonempty != n - 1 {
+                return Err(SimError::BroadcastViolated {
+                    from: ctx.id,
+                    round,
+                });
+            }
+        }
+        for (u, m) in B::row_iter(cur, n, row, v) {
+            if m.len() > self.bandwidth {
+                return Err(SimError::BandwidthExceeded {
+                    from: ctx.id,
+                    to: NodeId::from(u),
+                    round,
+                    bits: m.len(),
+                    limit: self.bandwidth,
+                });
+            }
+            acc.messages += 1;
+            acc.bits += m.len() as u64;
+            acc.max_message_bits = acc.max_message_bits.max(m.len());
+        }
+        Ok(())
+    }
+
+    /// The round-boundary watchdog: the [`Engine::with_deadline`] budget
+    /// and the [`Engine::with_cancel`] flag.
+    fn check_interrupt(&self, round: usize, started: Instant) -> Result<(), SimError> {
+        if let Some(limit) = self.deadline.filter(|&l| started.elapsed() >= l) {
+            return Err(SimError::DeadlineExceeded { limit });
+        }
+        match &self.cancel {
+            Some(flag) if flag.load(Ordering::Relaxed) => Err(SimError::Cancelled { round }),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The round driver and the worker pool behind it: the only code in the
+/// crate allowed to opt out of the borrow checker, and only through
+/// `Cells::view`.
+///
+/// **Barrier protocol.** The run's node state (programs, halt flags,
+/// outputs) and both delivery buffers are shared with the pool as `Cells`.
+/// During a step phase — between the round-start and round-end barriers —
+/// each worker touches only its own node chunk and its rows of the write
+/// buffer, and reads the other buffer, which no one writes. Outside it
+/// every worker is parked at a barrier and only the main thread touches
+/// anything. `Barrier::wait` orders all memory accesses across each phase
+/// boundary.
+#[allow(unsafe_code)]
+mod driver {
+    use super::*;
+
+    impl Engine {
+        /// Drive a run round by round until every node halts or the run
+        /// fails. Spawns the pool when it engages (`threads > 1` and
+        /// `n ≥ 2·threads`), and has one exit that releases it.
+        pub(super) fn drive<P: NodeProgram, B: DeliveryBuf>(
+            &self,
+            cells: Cells<'_, P, B>,
+            ctxs: &[NodeCtx],
+            book: &mut RoundBook<'_>,
+        ) -> Result<(), SimError> {
+            let n = self.n;
+            let threads = self.pool_threads();
+            let (chunk, workers) = if threads > 1 && n >= 2 * threads {
+                let chunk = n.div_ceil(threads);
+                (chunk, n.div_ceil(chunk))
+            } else {
+                (n, 0)
+            };
+            let pool = Pool::new(workers);
+            let result = std::thread::scope(|s| {
+                for (w, slot) in pool.results.iter().enumerate() {
+                    let nodes = w * chunk..n.min(w * chunk + chunk);
+                    let (pool, cells) = (&pool, &cells);
+                    s.spawn(move || {
+                        pool.work(slot, |round| {
+                            // SAFETY: barrier protocol — in the step phase
+                            // this worker alone holds its chunk.
+                            let mine = unsafe { cells.view(round, nodes.clone()) };
+                            self.step_chunk(mine, ctxs, round)
+                        })
+                    });
+                }
+                let result = self.rounds(&cells, ctxs, book, (workers > 0).then_some(&pool));
+                pool.shutdown();
+                result
+            });
+            match result {
+                Ok(()) => Ok(()),
+                Err(StepAbort::Sim(e)) => Err(e),
+                Err(StepAbort::Panic(payload)) => resume_unwind(payload),
+            }
+        }
+
+        /// The round loop. Every main-thread section appears here once.
+        fn rounds<P: NodeProgram, B: DeliveryBuf>(
+            &self,
+            cells: &Cells<'_, P, B>,
+            ctxs: &[NodeCtx],
+            book: &mut RoundBook<'_>,
+            pool: Option<&Pool>,
+        ) -> Result<(), StepAbort> {
+            let n = self.n;
+            let started = Instant::now();
+            let mut active = vec![true; n];
+            let mut round = 0usize;
+            loop {
+                // SAFETY: barrier protocol — outside `Pool::step` the
+                // workers are parked, so the main thread holds every node.
+                let mut all = unsafe { cells.view(round, 0..n) };
+                if let Some(plan) = book.plan {
+                    // Churn prologue. Crashes fire before the activity
+                    // snapshot: a node crashing in round r never steps in
+                    // it, and the messages it was due to read this round
+                    // (written last round) are lost. Rejoins fire right
+                    // after: a node due back this round is replayed over
+                    // its missed window and steps again from this round
+                    // on. Running only here on the main thread (plus
+                    // address-keyed coins) keeps the adversary pool-shape
+                    // independent.
+                    let inbound = B::view(all.prev, n);
+                    plan.apply_crashes(
+                        book.fault_offset + round,
+                        all.halted,
+                        &inbound,
+                        &mut book.faults,
+                    );
+                    book.process_churn(round, plan, ctxs, &mut all, &inbound)?;
+                }
+                for (a, h) in active.iter_mut().zip(all.halted.iter()) {
+                    *a = !*h;
+                }
+
+                let step_start = Instant::now();
+                let acc = match pool {
+                    // `all` is dead in this arm: the workers hold their
+                    // chunks until `step` returns.
+                    Some(pool) => pool.step(round)?,
+                    None => self.step_chunk(all, ctxs, round)?,
+                };
+                let step_end = Instant::now();
+
+                // SAFETY: as above — the pool is parked again.
+                let all = unsafe { cells.view(round, 0..n) };
+                if book.close_round::<P, B>(round, acc, &all, &active, step_start, step_end)? {
                     return Ok(());
                 }
-                Verdict::Limit => {
-                    return Err(SimError::RoundLimit {
-                        limit: self.max_rounds,
-                    })
-                }
+                book.wire::<B>(round, all.cur, all.prev);
+                self.check_interrupt(round, started)?;
+                round += 1;
             }
         }
     }
 
-    /// Persistent-worker-pool round loop: the pool is spawned once, workers
-    /// park on `ctrl.barrier` between rounds, and the main thread does the
-    /// bookkeeping while they are parked.
-    #[allow(clippy::too_many_arguments)]
-    fn run_pooled<P: NodeProgram, B: DeliveryBuf>(
-        &self,
-        threads: usize,
-        programs: &mut [P],
-        ctxs: &[NodeCtx],
-        bufs: &mut [B; 2],
-        halted: &mut [bool],
-        outputs: &mut [Option<P::Output>],
-        transcripts: &mut Option<Vec<Transcript>>,
-        stats: &mut RunStats,
-        plan: Option<&FaultPlan>,
-        report: &mut FaultReport,
-        byz: Option<&ByzantinePlan>,
-        byz_report: &mut ByzantineReport,
-        auth: Option<&AuthKeyring>,
-        auth_ledger: &mut AuthLedger,
-        watchdog: Option<(Instant, Duration)>,
-    ) -> Result<(), SimError> {
-        let n = self.n;
-        let chunk = n.div_ceil(threads);
-        let workers = n.div_ceil(chunk);
-        let bandwidth = self.bandwidth;
-        let broadcast_only = self.broadcast_only;
-        let topology: &[bool] = &self.topology;
-        let max_rounds = self.max_rounds;
+    /// Interior-mutability wrapper that lets the worker pool share the
+    /// run's state; sound only under the barrier protocol.
+    #[repr(transparent)]
+    struct SyncCell<T>(std::cell::UnsafeCell<T>);
 
-        let mut book = RoundBook::new(
-            n,
-            max_rounds,
-            stats,
-            transcripts.as_mut(),
-            plan,
-            self.fault_offset,
-        );
-        let mut active = vec![true; n];
+    // SAFETY: references are only handed out through `Cells::view`, whose
+    // callers promise disjoint access via the barrier protocol.
+    unsafe impl<T: Send> Sync for SyncCell<T> {}
 
-        let [buf_a, buf_b] = bufs;
-        let buf_cells: [&[SyncCell<B::Slot>]; 2] = [
-            SyncCell::share(buf_a.slots_mut()),
-            SyncCell::share(buf_b.slots_mut()),
-        ];
-        let prog_cells = SyncCell::share(programs);
-        let halted_cells = SyncCell::share(halted);
-        let out_cells = SyncCell::share(outputs);
-        let mut chunk_results: Vec<Result<ChunkAcc, StepAbort>> =
-            (0..workers).map(|_| Ok(ChunkAcc::default())).collect();
-        let result_cells = SyncCell::share(&mut chunk_results);
-        let ctrl = PoolCtrl {
-            barrier: Barrier::new(workers + 1),
-            round: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-        };
-        let ctrl = &ctrl;
+    impl<T> SyncCell<T> {
+        /// Wrap an exclusively-borrowed slice for sharing with the pool.
+        fn share(slice: &mut [T]) -> &[SyncCell<T>] {
+            // SAFETY: `repr(transparent)` gives identical layout, and the
+            // `&mut` guarantees no other live borrow for the returned
+            // lifetime.
+            unsafe { &*(slice as *mut [T] as *const [SyncCell<T>]) }
+        }
 
-        std::thread::scope(|s| {
-            for (w, my_result) in result_cells.iter().enumerate().take(workers) {
-                let lo = w * chunk;
-                let hi = n.min(lo + chunk);
-                s.spawn(move || loop {
-                    ctrl.barrier.wait();
-                    if ctrl.stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let round = ctrl.round.load(Ordering::Relaxed);
-                    let write = round % 2;
-                    let caught =
-                        catch_unwind(AssertUnwindSafe(|| -> Result<ChunkAcc, SimError> {
-                            let mut acc = ChunkAcc::default();
-                            // SAFETY (barrier protocol): between the
-                            // round-start and round-end barriers this worker
-                            // exclusively owns node range lo..hi of
-                            // programs/halted/outputs and rows lo..hi of the
-                            // write buffer; the read buffer is written by no
-                            // one during the step phase.
-                            let write_rows = unsafe {
-                                SyncCell::exclusive(&buf_cells[write][B::slot_range(n, lo, hi)])
-                            };
-                            let prev = unsafe { SyncCell::shared(buf_cells[1 - write]) };
-                            let my_halted = unsafe { SyncCell::exclusive(&halted_cells[lo..hi]) };
-                            let my_progs = unsafe { SyncCell::exclusive(&prog_cells[lo..hi]) };
-                            let my_outs = unsafe { SyncCell::exclusive(&out_cells[lo..hi]) };
-                            for i in 0..hi - lo {
-                                let v = lo + i;
-                                B::clear_row(write_rows, n, i);
-                                if my_halted[i] {
-                                    continue;
-                                }
-                                step_one::<P, B>(
-                                    &mut my_progs[i],
-                                    &ctxs[v],
-                                    round,
-                                    prev,
-                                    write_rows,
-                                    i,
-                                    bandwidth,
-                                    broadcast_only,
-                                    topology,
-                                    &mut my_halted[i],
-                                    &mut my_outs[i],
-                                    &mut acc,
-                                )?;
-                            }
-                            Ok(acc)
-                        }));
-                    let published = match caught {
-                        Ok(Ok(acc)) => Ok(acc),
-                        Ok(Err(err)) => Err(StepAbort::Sim(err)),
-                        Err(payload) => Err(StepAbort::Panic(payload)),
-                    };
-                    // SAFETY (barrier protocol): this result slot belongs to
-                    // this worker alone during the step phase.
-                    unsafe {
-                        *my_result.raw() = published;
-                    }
-                    ctrl.barrier.wait();
-                });
+        /// View a cell slice as mutable data.
+        ///
+        /// # Safety
+        /// The caller must hold exclusive access to every element per the
+        /// barrier protocol.
+        #[allow(clippy::mut_from_ref)]
+        unsafe fn exclusive(cells: &[SyncCell<T>]) -> &mut [T] {
+            // `repr(transparent)` lets the cell pointer double as the
+            // element pointer; `raw_get` is the sanctioned
+            // `&UnsafeCell → *mut` route.
+            let base = std::cell::UnsafeCell::raw_get(cells.as_ptr().cast());
+            std::slice::from_raw_parts_mut(base, cells.len())
+        }
+
+        /// View a cell slice as shared data.
+        ///
+        /// # Safety
+        /// The caller must guarantee no concurrent writers per the barrier
+        /// protocol.
+        unsafe fn shared(cells: &[SyncCell<T>]) -> &[T] {
+            &*(cells as *const [SyncCell<T>] as *const [T])
+        }
+    }
+
+    /// The run's per-node state and both delivery buffers, shared between
+    /// the main thread and the pool.
+    pub(super) struct Cells<'a, P: NodeProgram, B: DeliveryBuf> {
+        programs: &'a [SyncCell<P>],
+        halted: &'a [SyncCell<bool>],
+        outputs: &'a [SyncCell<Option<P::Output>>],
+        bufs: [&'a [SyncCell<B::Slot>]; 2],
+    }
+
+    impl<'a, P: NodeProgram, B: DeliveryBuf> Cells<'a, P, B> {
+        pub(super) fn share(
+            programs: &'a mut [P],
+            halted: &'a mut [bool],
+            outputs: &'a mut [Option<P::Output>],
+            bufs: &'a mut [B; 2],
+        ) -> Self {
+            let [a, b] = bufs;
+            Self {
+                programs: SyncCell::share(programs),
+                halted: SyncCell::share(halted),
+                outputs: SyncCell::share(outputs),
+                bufs: [
+                    SyncCell::share(a.slots_mut()),
+                    SyncCell::share(b.slots_mut()),
+                ],
             }
+        }
 
-            let mut round = 0usize;
+        /// The single accessor: nodes `nodes` in `round`, with their rows
+        /// of the write buffer `round % 2` and the whole read buffer.
+        ///
+        /// # Safety
+        /// Barrier protocol: while the view lives, the caller is the only
+        /// one touching those nodes and rows, and no one writes the read
+        /// buffer.
+        unsafe fn view(&self, round: usize, nodes: Range<usize>) -> Nodes<'_, P, B> {
+            let n = self.programs.len();
+            let write = round % 2;
+            Nodes {
+                lo: nodes.start,
+                cur: SyncCell::exclusive(
+                    &self.bufs[write][B::slot_range(n, nodes.start, nodes.end)],
+                ),
+                prev: SyncCell::shared(self.bufs[1 - write]),
+                programs: SyncCell::exclusive(&self.programs[nodes.clone()]),
+                halted: SyncCell::exclusive(&self.halted[nodes.clone()]),
+                outputs: SyncCell::exclusive(&self.outputs[nodes]),
+            }
+        }
+    }
+
+    /// Nodes `lo..lo + programs.len()` in one round: their programs, halt
+    /// flags and outputs, their rows `cur` of the write buffer, and the
+    /// whole buffer `prev` written last round.
+    pub(super) struct Nodes<'v, P: NodeProgram, B: DeliveryBuf> {
+        pub(super) lo: usize,
+        pub(super) programs: &'v mut [P],
+        pub(super) halted: &'v mut [bool],
+        pub(super) outputs: &'v mut [Option<P::Output>],
+        pub(super) cur: &'v mut [B::Slot],
+        pub(super) prev: &'v [B::Slot],
+    }
+
+    /// Why a step phase did not produce a [`ChunkAcc`].
+    pub(super) enum StepAbort {
+        /// The model rejected a node's behaviour.
+        Sim(SimError),
+        /// Engine code panicked on a worker; the payload is re-thrown on
+        /// the main thread once the pool is released.
+        Panic(Box<dyn std::any::Any + Send>),
+    }
+
+    impl From<SimError> for StepAbort {
+        fn from(e: SimError) -> Self {
+            StepAbort::Sim(e)
+        }
+    }
+
+    type ChunkResult = Mutex<Result<ChunkAcc, StepAbort>>;
+
+    /// Round synchronisation between the driver and its workers.
+    /// `Barrier::wait` is the only synchroniser; the atomics are plain
+    /// mailboxes written strictly between barriers, hence `Relaxed`. Each
+    /// worker publishes its chunk's result into its own slot.
+    struct Pool {
+        barrier: Barrier,
+        round: AtomicUsize,
+        stop: AtomicBool,
+        results: Vec<ChunkResult>,
+    }
+
+    fn lock(slot: &ChunkResult) -> std::sync::MutexGuard<'_, Result<ChunkAcc, StepAbort>> {
+        // Every write is one whole assignment of a finished result, so a
+        // poisoned slot still holds a valid one.
+        slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    impl Pool {
+        fn new(workers: usize) -> Self {
+            Self {
+                barrier: Barrier::new(workers + 1),
+                round: AtomicUsize::new(0),
+                stop: AtomicBool::new(false),
+                results: (0..workers)
+                    .map(|_| Mutex::new(Ok(ChunkAcc::default())))
+                    .collect(),
+            }
+        }
+
+        /// A worker's life: park at the round-start barrier, step its
+        /// chunk, publish the result, park at the round-end barrier.
+        fn work(&self, slot: &ChunkResult, step: impl Fn(usize) -> Result<ChunkAcc, SimError>) {
             loop {
-                {
-                    // SAFETY: workers are parked at the round-start barrier,
-                    // so the main thread has exclusive access here. Faults
-                    // are applied only on the main thread between barriers —
-                    // that (plus address-keyed coins) is what makes the
-                    // adversary pool-shape independent.
-                    if let Some(plan) = plan {
-                        let halted_mut = unsafe { SyncCell::exclusive(halted_cells) };
-                        let progs_mut = unsafe { SyncCell::exclusive(prog_cells) };
-                        let outs_mut = unsafe { SyncCell::exclusive(out_cells) };
-                        let inbound = unsafe { SyncCell::shared(buf_cells[1 - round % 2]) };
-                        let view = B::view(inbound, n);
-                        plan.apply_crashes(self.fault_offset + round, halted_mut, &view, report);
-                        // Rejoin replay also runs only here, between
-                        // barriers on the main thread, which keeps the
-                        // churn tier pool-shape independent.
-                        if let Err(e) = book.process_churn::<P>(
-                            round, plan, progs_mut, ctxs, halted_mut, outs_mut, &view, report,
-                        ) {
-                            shutdown(ctrl);
-                            return Err(e);
-                        }
-                    }
-                    let halted_now = unsafe { SyncCell::shared(halted_cells) };
-                    for v in 0..n {
-                        active[v] = !halted_now[v];
-                    }
+                self.barrier.wait();
+                if self.stop.load(Ordering::Relaxed) {
+                    break;
                 }
-                ctrl.round.store(round, Ordering::Relaxed);
-                let step_start = Instant::now();
-                ctrl.barrier.wait(); // release the step phase
-                ctrl.barrier.wait(); // wait for every chunk to finish
-                let step_end = Instant::now();
-
-                // SAFETY: workers are parked at the round-start barrier
-                // again; the main thread has exclusive access until it next
-                // calls `ctrl.barrier.wait()`.
-                let mut acc = ChunkAcc::default();
-                let mut abort: Option<StepAbort> = None;
-                for cell in result_cells.iter().take(workers) {
-                    let published =
-                        unsafe { std::mem::replace(&mut *cell.raw(), Ok(ChunkAcc::default())) };
-                    match published {
-                        Ok(a) => acc.fold(&a),
-                        // Lowest worker index wins, which is the lowest node
-                        // index: the same error a sequential run surfaces.
-                        Err(e) => {
-                            if abort.is_none() {
-                                abort = Some(e);
-                            }
-                        }
-                    }
-                }
-                if let Some(e) = abort {
-                    shutdown(ctrl);
-                    match e {
-                        StepAbort::Sim(err) => return Err(err),
-                        StepAbort::Panic(payload) => resume_unwind(payload),
-                    }
-                }
-
-                let write = round % 2;
-                let cur = unsafe { SyncCell::shared(buf_cells[write]) };
-                let prev = unsafe { SyncCell::shared(buf_cells[1 - write]) };
-                let halted_now = unsafe { SyncCell::shared(halted_cells) };
-                match book.close_round(
-                    round,
-                    acc,
-                    &B::view(cur, n),
-                    &B::view(prev, n),
-                    halted_now,
-                    &active,
-                    step_start,
-                    step_end,
-                ) {
-                    Verdict::Continue => {
-                        if let Some(byz) = byz {
-                            // SAFETY: workers are still parked; the shared
-                            // views taken for close_round are no longer used.
-                            // Rewrites happen only here on the main thread
-                            // between barriers, which (plus address-keyed
-                            // coins) makes them pool-shape independent.
-                            let cur_mut = unsafe { SyncCell::exclusive(buf_cells[write]) };
-                            byz.apply_rewrites(
-                                round,
-                                &mut B::view_mut(cur_mut, n),
-                                &B::view(prev, n),
-                                byz_report,
-                            );
-                        }
-                        if let Some(keyring) = auth {
-                            // SAFETY: workers are still parked; the shared
-                            // views taken for close_round are no longer
-                            // used. Same hook order as the sequential path:
-                            // rewrites → sign → forge → faults → verify.
-                            let cur_mut = unsafe { SyncCell::exclusive(buf_cells[write]) };
-                            keyring.sign_round(round, &mut B::view_mut(cur_mut, n), auth_ledger);
-                            if let Some(byz) = byz {
-                                let cur_mut = unsafe { SyncCell::exclusive(buf_cells[write]) };
-                                byz.apply_tag_forgeries(
-                                    round,
-                                    &mut B::view_mut(cur_mut, n),
-                                    byz_report,
-                                );
-                            }
-                        }
-                        if let Some(plan) = plan {
-                            // SAFETY: workers are still parked; the shared
-                            // views taken for close_round are no longer used.
-                            let cur_mut = unsafe { SyncCell::exclusive(buf_cells[write]) };
-                            plan.apply_link_faults(
-                                self.fault_offset + round,
-                                &mut B::view_mut(cur_mut, n),
-                                report,
-                            );
-                        }
-                        if let Some(keyring) = auth {
-                            // SAFETY: workers are still parked (as above).
-                            let cur_mut = unsafe { SyncCell::exclusive(buf_cells[write]) };
-                            keyring.verify_round(round, &mut B::view_mut(cur_mut, n), auth_ledger);
-                        }
-                        if let Some((start, limit)) = watchdog {
-                            if start.elapsed() >= limit {
-                                shutdown(ctrl);
-                                return Err(SimError::DeadlineExceeded { limit });
-                            }
-                        }
-                        if let Some(flag) = &self.cancel {
-                            if flag.load(Ordering::Relaxed) {
-                                shutdown(ctrl);
-                                return Err(SimError::Cancelled { round });
-                            }
-                        }
-                        round += 1;
-                    }
-                    Verdict::Done => {
-                        book.settle_churn();
-                        shutdown(ctrl);
-                        return Ok(());
-                    }
-                    Verdict::Limit => {
-                        shutdown(ctrl);
-                        return Err(SimError::RoundLimit { limit: max_rounds });
-                    }
-                }
+                let round = self.round.load(Ordering::Relaxed);
+                *lock(slot) = match catch_unwind(AssertUnwindSafe(|| step(round))) {
+                    Ok(result) => result.map_err(StepAbort::Sim),
+                    Err(payload) => Err(StepAbort::Panic(payload)),
+                };
+                self.barrier.wait();
             }
-        })
-    }
-}
+        }
 
-/// Release workers parked at the round-start barrier and let them exit.
-fn shutdown(ctrl: &PoolCtrl) {
-    ctrl.stop.store(true, Ordering::Relaxed);
-    ctrl.barrier.wait();
-}
+        /// Run one step phase on the workers and fold their chunks. The
+        /// lowest worker's error wins, which is the lowest node's: the same
+        /// error an inline step surfaces.
+        fn step(&self, round: usize) -> Result<ChunkAcc, StepAbort> {
+            self.round.store(round, Ordering::Relaxed);
+            self.barrier.wait(); // release the step phase
+            self.barrier.wait(); // wait for every chunk to finish
+            let mut acc = ChunkAcc::default();
+            for slot in &self.results {
+                let published = std::mem::replace(&mut *lock(slot), Ok(ChunkAcc::default()));
+                acc.fold(&published?);
+            }
+            Ok(acc)
+        }
 
-/// Round-synchronisation state shared between the driver and the pool.
-/// `Barrier::wait` is the only synchroniser (it orders all memory accesses
-/// across the phase boundary); the atomics are plain mailboxes written
-/// strictly between barriers, hence `Relaxed`.
-struct PoolCtrl {
-    barrier: Barrier,
-    round: AtomicUsize,
-    stop: AtomicBool,
-}
-
-/// Why a worker's step phase did not produce a [`ChunkAcc`].
-enum StepAbort {
-    /// The model rejected a node's behaviour.
-    Sim(SimError),
-    /// A node program panicked; the payload is re-thrown on the main thread.
-    Panic(Box<dyn std::any::Any + Send>),
-}
-
-/// Interior-mutability wrapper that lets the persistent worker pool share
-/// the engine's per-run state. All access goes through the `unsafe` views
-/// below, whose soundness rests on the *barrier protocol*: during a step
-/// phase each worker touches only its own node range (plus read-only shared
-/// data), and between the round-end and round-start barriers only the main
-/// thread touches anything.
-#[repr(transparent)]
-struct SyncCell<T>(std::cell::UnsafeCell<T>);
-
-// SAFETY: references are only handed out through the views below, whose
-// callers promise disjoint access via the barrier protocol.
-unsafe impl<T: Send> Sync for SyncCell<T> {}
-
-impl<T> SyncCell<T> {
-    /// Wrap an exclusively-borrowed slice for sharing with the pool.
-    fn share(slice: &mut [T]) -> &[SyncCell<T>] {
-        // SAFETY: `repr(transparent)` gives identical layout, and the `&mut`
-        // guarantees no other live borrow for the returned lifetime.
-        unsafe { &*(slice as *mut [T] as *const [SyncCell<T>]) }
-    }
-
-    /// Raw pointer to the contents; the caller upholds the barrier protocol.
-    fn raw(&self) -> *mut T {
-        self.0.get()
-    }
-
-    /// View a cell slice as mutable data.
-    ///
-    /// # Safety
-    /// The caller must hold exclusive access to every element per the
-    /// barrier protocol.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn exclusive(cells: &[SyncCell<T>]) -> &mut [T] {
-        // `repr(transparent)` lets the cell pointer double as the element
-        // pointer; `raw_get` is the sanctioned `&UnsafeCell → *mut` route.
-        let base = std::cell::UnsafeCell::raw_get(cells.as_ptr().cast());
-        std::slice::from_raw_parts_mut(base, cells.len())
-    }
-
-    /// View a cell slice as shared data.
-    ///
-    /// # Safety
-    /// The caller must guarantee no concurrent writers per the barrier
-    /// protocol.
-    unsafe fn shared(cells: &[SyncCell<T>]) -> &[T] {
-        &*(cells as *const [SyncCell<T>] as *const [T])
+        /// Release the workers parked at the round-start barrier and let
+        /// them exit (a no-op without workers).
+        fn shutdown(&self) {
+            self.stop.store(true, Ordering::Relaxed);
+            self.barrier.wait();
+        }
     }
 }
 
@@ -1346,16 +1157,6 @@ impl ChunkAcc {
         self.bits += other.bits;
         self.max_message_bits = self.max_message_bits.max(other.max_message_bits);
     }
-}
-
-/// What the bookkeeper decided after a step phase.
-enum Verdict {
-    /// Run the next round.
-    Continue,
-    /// Every node halted; the run is complete.
-    Done,
-    /// The round limit was hit with nodes still active.
-    Limit,
 }
 
 /// State-sync bookkeeping for one crash the plan will later rejoin.
@@ -1375,88 +1176,106 @@ struct PendingRejoin {
     diverted: Vec<(usize, u64, u64)>,
 }
 
-/// Churn bookkeeping: one pending slot per node, plus the fault-clock
-/// offset. Only allocated when the plan schedules rejoins, so crash-only
-/// plans take the exact pre-churn code path.
-struct ChurnState {
-    offset: usize,
-    pending: Vec<Option<PendingRejoin>>,
-}
-
-/// Per-round main-thread bookkeeping shared by the sequential and pooled
-/// drivers — one implementation keeps the two paths bit-identical by
-/// construction.
-struct RoundBook<'a> {
+/// The run's main-thread state: the adversaries, the stats and transcripts,
+/// and the event logs. Only the driver's main-thread sections touch it.
+struct RoundBook<'e> {
     n: usize,
     max_rounds: usize,
-    stats: &'a mut RunStats,
-    transcripts: Option<&'a mut Vec<Transcript>>,
+    /// The fault plan, `None` when absent or empty: an empty plan must be
+    /// transparent, so it skips every fault hook.
+    plan: Option<&'e FaultPlan>,
+    /// Shift applied to the fault plan's round addressing.
+    fault_offset: usize,
+    /// The Byzantine plan, `None` when absent or empty.
+    byz: Option<&'e ByzantinePlan>,
+    /// The signed-message envelope, if any.
+    auth: Option<&'e AuthKeyring>,
+    stats: RunStats,
+    transcripts: Option<Vec<Transcript>>,
+    faults: FaultReport,
+    byzantine: ByzantineReport,
+    auth_ledger: AuthLedger,
     /// Payload bits written in the previous round, still live in the read
     /// buffer during this round's step phase.
     prev_round_bits: u64,
     /// Whether any node has halted so far; skips the undelivered scan on
     /// the all-active prefix of a run (the common case).
     any_halted: bool,
-    /// Rejoin/state-sync bookkeeping; `None` for rejoin-free plans.
-    churn: Option<ChurnState>,
+    /// One pending-rejoin slot per node. Only allocated when the plan
+    /// schedules rejoins, so crash-only plans take the exact pre-churn
+    /// code path.
+    churn: Option<Vec<Option<PendingRejoin>>>,
 }
 
-impl<'a> RoundBook<'a> {
-    fn new(
-        n: usize,
-        max_rounds: usize,
-        stats: &'a mut RunStats,
-        transcripts: Option<&'a mut Vec<Transcript>>,
-        plan: Option<&FaultPlan>,
-        fault_offset: usize,
-    ) -> Self {
-        let churn = plan.filter(|p| p.has_rejoins()).map(|_| ChurnState {
-            offset: fault_offset,
-            pending: (0..n).map(|_| None).collect(),
-        });
+impl<'e> RoundBook<'e> {
+    fn new(engine: &'e Engine) -> Self {
+        let n = engine.n;
+        let plan = engine.fault_plan.as_deref().filter(|p| !p.is_empty());
         Self {
             n,
-            max_rounds,
-            stats,
-            transcripts,
+            max_rounds: engine.max_rounds,
+            plan,
+            fault_offset: engine.fault_offset,
+            byz: engine.byzantine_plan.as_deref().filter(|p| !p.is_empty()),
+            auth: engine.auth.as_deref(),
+            stats: RunStats::default(),
+            transcripts: engine
+                .record_transcripts
+                .then(|| vec![Transcript::default(); n]),
+            faults: FaultReport::default(),
+            byzantine: ByzantineReport::default(),
+            auth_ledger: AuthLedger::default(),
             prev_round_bits: 0,
             any_halted: false,
-            churn,
+            churn: plan
+                .filter(|p| p.has_rejoins())
+                .map(|_| (0..n).map(|_| None).collect()),
         }
     }
 
-    /// Round-start churn pass, called right after `apply_crashes` on both
-    /// driver paths (main thread only): register fresh crash victims the
-    /// plan will rejoin, replay the missed window to nodes due back this
-    /// round, and record the inbound column for every node still down.
-    #[allow(clippy::too_many_arguments)]
-    fn process_churn<P: NodeProgram>(
+    /// Fold the event logs into the stats and assemble the outcome.
+    fn finish<T>(mut self, outputs: Vec<Option<T>>) -> Outcome<Option<T>> {
+        self.faults.tally_into(&mut self.stats);
+        self.byzantine.tally_into(&mut self.stats);
+        self.auth_ledger.tally_into(&mut self.stats);
+        Outcome {
+            outputs,
+            stats: self.stats,
+            transcripts: self.transcripts,
+            faults: self.faults,
+            byzantine: self.byzantine,
+        }
+    }
+
+    /// Round-start churn pass, right after `apply_crashes`: register fresh
+    /// crash victims the plan will rejoin, replay the missed window to
+    /// nodes due back this round, and record the inbound column for every
+    /// node still down.
+    fn process_churn<P: NodeProgram, B: DeliveryBuf>(
         &mut self,
         round: usize,
         plan: &FaultPlan,
-        programs: &mut [P],
         ctxs: &[NodeCtx],
-        halted: &mut [bool],
-        outputs: &mut [Option<P::Output>],
+        all: &mut driver::Nodes<'_, P, B>,
         inbound: &BufView<'_>,
-        report: &mut FaultReport,
     ) -> Result<(), SimError> {
         let n = self.n;
+        let plan_round = self.fault_offset + round;
         let Self {
             churn,
             transcripts,
             stats,
+            faults,
             ..
         } = self;
-        let Some(churn) = churn.as_mut() else {
+        let Some(pending) = churn.as_mut() else {
             return Ok(());
         };
-        let plan_round = churn.offset + round;
         // 1. Fresh crashes: `apply_crashes` just appended this round's
         // Crashed events at the report's tail. A victim with a scheduled
         // future rejoin gets a pending window; one without follows the
         // plain crash path untouched.
-        for e in report.events.iter().rev() {
+        for e in faults.events.iter().rev() {
             let FaultEvent::Crashed { node, round: r, .. } = e else {
                 break;
             };
@@ -1464,7 +1283,7 @@ impl<'a> RoundBook<'a> {
                 break;
             }
             if let Some(pr) = plan.next_rejoin_after(*node, plan_round) {
-                churn.pending[node.index()] = Some(PendingRejoin {
+                pending[node.index()] = Some(PendingRejoin {
                     crash_round: round,
                     rejoin_round: round + (pr - plan_round),
                     window: Vec::new(),
@@ -1475,31 +1294,25 @@ impl<'a> RoundBook<'a> {
         // 2. Rejoins due at this round start, in node order (deterministic
         // across pool shapes by construction: main thread only).
         for v in 0..n {
-            let due = churn.pending[v]
-                .as_ref()
-                .is_some_and(|p| p.rejoin_round == round);
-            if !due {
-                continue;
-            }
-            if let Some(p) = churn.pending[v].take() {
+            if let Some(p) = pending[v].take_if(|p| p.rejoin_round == round) {
                 replay_rejoin::<P>(
                     v,
                     plan_round,
                     p,
-                    &mut programs[v],
+                    &mut all.programs[v],
                     &ctxs[v],
-                    &mut halted[v],
-                    &mut outputs[v],
-                    transcripts.as_deref_mut(),
+                    &mut all.halted[v],
+                    &mut all.outputs[v],
+                    transcripts.as_mut(),
                     stats,
-                    report,
+                    faults,
                 )?;
             }
         }
         // 3. Record the inbound column (what the node would have read this
         // round) for every node still awaiting its rejoin.
-        for v in 0..n {
-            if let Some(p) = churn.pending[v].as_mut() {
+        for (v, p) in pending.iter_mut().enumerate() {
+            if let Some(p) = p {
                 let mut column = Vec::with_capacity(n);
                 for u in 0..n {
                     column.push(if u == v {
@@ -1514,39 +1327,22 @@ impl<'a> RoundBook<'a> {
         Ok(())
     }
 
-    /// Charge the diverted traffic of nodes whose rejoin never fired (the
-    /// run completed first): their windows were never replayed, so those
-    /// payloads really were undelivered. Called once on [`Verdict::Done`].
-    fn settle_churn(&mut self) {
-        let Self { churn, stats, .. } = self;
-        if let Some(churn) = churn.as_mut() {
-            for slot in churn.pending.iter_mut() {
-                if let Some(p) = slot.take() {
-                    for (_, msgs, bits) in p.diverted {
-                        stats.undelivered_messages += msgs;
-                        stats.undelivered_bits += bits;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Account for one completed step phase: `cur` is the matrix the nodes
-    /// just wrote, `prev` the one they read, `halted` the post-step halt
-    /// flags, `active` the pre-step activity mask.
-    #[allow(clippy::too_many_arguments)]
-    fn close_round(
+    /// Account for one completed step phase: `all.cur` is the buffer the
+    /// nodes just wrote, `all.prev` the one they read, `all.halted` the
+    /// post-step halt flags, `active` the pre-step activity mask. Returns
+    /// whether the run is complete (every node halted), or
+    /// [`SimError::RoundLimit`] once nodes outlive the limit.
+    fn close_round<P: NodeProgram, B: DeliveryBuf>(
         &mut self,
         round: usize,
         acc: ChunkAcc,
-        cur: &BufView<'_>,
-        prev: &BufView<'_>,
-        halted: &[bool],
+        all: &driver::Nodes<'_, P, B>,
         active: &[bool],
         step_start: Instant,
         step_end: Instant,
-    ) -> Verdict {
+    ) -> Result<bool, SimError> {
         let n = self.n;
+        let cur = B::view(all.cur, n);
         self.stats.messages += acc.messages;
         self.stats.bits += acc.bits;
         self.stats.max_message_bits = self.stats.max_message_bits.max(acc.max_message_bits);
@@ -1558,11 +1354,11 @@ impl<'a> RoundBook<'a> {
         self.prev_round_bits = acc.bits;
 
         if let Some(ts) = self.transcripts.as_deref_mut() {
-            record_round(ts, active, prev, cur, n);
+            record_round(ts, active, &B::view(all.prev, n), &cur, n);
         }
 
         let mut all_halted = true;
-        for h in halted {
+        for h in all.halted.iter() {
             all_halted &= *h;
             self.any_halted |= *h;
         }
@@ -1573,8 +1369,7 @@ impl<'a> RoundBook<'a> {
         // is diverted into the pending ledger, and the rejoin (or the run's
         // end) settles whether the replay actually delivered it.
         if self.any_halted && acc.messages > 0 {
-            let mut pending = self.churn.as_mut().map(|c| &mut c.pending);
-            for (u, h) in halted.iter().enumerate() {
+            for (u, h) in all.halted.iter().enumerate() {
                 if !*h {
                     continue;
                 }
@@ -1590,7 +1385,7 @@ impl<'a> RoundBook<'a> {
                 if msgs == 0 {
                     continue;
                 }
-                match pending.as_mut().and_then(|p| p[u].as_mut()) {
+                match self.churn.as_mut().and_then(|p| p[u].as_mut()) {
                     Some(p) => p.diverted.push((round, msgs, bits)),
                     None => {
                         self.stats.undelivered_messages += msgs;
@@ -1607,12 +1402,56 @@ impl<'a> RoundBook<'a> {
 
         if all_halted {
             self.stats.rounds = round;
-            return Verdict::Done;
+            // Traffic diverted to nodes whose rejoin never fired (the run
+            // completed first) was never replayed: it really was
+            // undelivered.
+            for p in self.churn.iter_mut().flatten().filter_map(Option::take) {
+                for (_, msgs, bits) in p.diverted {
+                    self.stats.undelivered_messages += msgs;
+                    self.stats.undelivered_bits += bits;
+                }
+            }
+            return Ok(true);
         }
         if round >= self.max_rounds {
-            return Verdict::Limit;
+            return Err(SimError::RoundLimit {
+                limit: self.max_rounds,
+            });
         }
-        Verdict::Continue
+        Ok(false)
+    }
+
+    /// The wire pipeline, applied to the buffer the nodes just wrote once
+    /// the round has closed, in its fixed order: Byzantine rewrite → sign
+    /// → tag forgery → link faults → verify. Stats and transcripts already
+    /// hold what the programs *sent*; next round's inboxes see what
+    /// survives the wire. Running only on the main thread (plus
+    /// address-keyed coins) keeps every stage pool-shape independent.
+    fn wire<B: DeliveryBuf>(&mut self, round: usize, cur: &mut [B::Slot], prev: &[B::Slot]) {
+        let mut cur = B::view_mut(cur, self.n);
+        if let Some(byz) = self.byz {
+            // Traitors lie first; `prev` is what each traitor received
+            // this round — the adaptive-lying input.
+            byz.apply_rewrites(round, &mut cur, &B::view(prev, self.n), &mut self.byzantine);
+        }
+        if let Some(keyring) = self.auth {
+            // Signing follows the rewrites: a traitor's lies are validly
+            // signed with its own key (it owns it), while everything
+            // downstream — forged tags, wire damage — breaks the tag.
+            keyring.sign_round(round, &mut cur, &mut self.auth_ledger);
+            if let Some(byz) = self.byz {
+                byz.apply_tag_forgeries(round, &mut cur, &mut self.byzantine);
+            }
+        }
+        if let Some(plan) = self.plan {
+            plan.apply_link_faults(self.fault_offset + round, &mut cur, &mut self.faults);
+        }
+        if let Some(keyring) = self.auth {
+            // Verification is the last word on the wire: any frame whose
+            // tag fails (forged or damaged after signing) is cleared before
+            // delivery.
+            keyring.verify_round(round, &mut cur, &mut self.auth_ledger);
+        }
     }
 }
 
@@ -1730,105 +1569,6 @@ fn replay_rejoin<P: NodeProgram>(
         sync_messages,
         sync_bits,
     });
-    Ok(())
-}
-
-/// Step a single node and validate its outbox against the bandwidth bound.
-/// `prev` is the full slot slice written last round (the node reads it
-/// through a receiver-oriented inbox view); `cur` is the slot slice the
-/// caller owns for writing, with `row` the node's row index *relative to*
-/// that slice (the sequential driver passes the full buffer and `row == v`;
-/// pooled workers pass their carved chunk and a chunk-relative row).
-#[allow(clippy::too_many_arguments)]
-fn step_one<P: NodeProgram, B: DeliveryBuf>(
-    prog: &mut P,
-    ctx: &NodeCtx,
-    round: usize,
-    prev: &[B::Slot],
-    cur: &mut [B::Slot],
-    row: usize,
-    bandwidth: usize,
-    broadcast_only: bool,
-    topology: &[bool],
-    halted: &mut bool,
-    output: &mut Option<P::Output>,
-    acc: &mut ChunkAcc,
-) -> Result<(), SimError> {
-    let n = ctx.n;
-    let v = ctx.id.index();
-    let inbox = B::inbox(prev, n, v);
-    let status = {
-        let mut outbox = B::outbox(cur, n, row, v);
-        // A panicking program becomes a structured error, not a torn-down
-        // pool: the engine (and its caller) must stay usable after a buggy
-        // algorithm.
-        catch_unwind(AssertUnwindSafe(|| {
-            prog.step(ctx, round, &inbox, &mut outbox)
-        }))
-        .map_err(|payload| SimError::NodeProgramPanicked {
-            node: ctx.id,
-            round,
-            message: panic_message(payload),
-        })?
-    };
-    match status {
-        Status::Continue => {}
-        Status::Halt(out) => {
-            *halted = true;
-            *output = Some(out);
-        }
-    }
-    B::seal_row(cur, n, row);
-    if !topology.is_empty() {
-        for (u, _m) in B::row_iter(cur, n, row, v) {
-            if !topology[v * n + u] {
-                return Err(SimError::TopologyViolated {
-                    from: ctx.id,
-                    to: NodeId::from(u),
-                    round,
-                });
-            }
-        }
-    }
-    if broadcast_only {
-        // All non-empty outgoing messages must be identical, and a node
-        // either addresses everyone or no one.
-        let mut common: Option<&BitString> = None;
-        let mut nonempty = 0;
-        for (_u, m) in B::row_iter(cur, n, row, v) {
-            nonempty += 1;
-            match common {
-                None => common = Some(m),
-                Some(c) if c == m => {}
-                _ => {
-                    return Err(SimError::BroadcastViolated {
-                        from: ctx.id,
-                        round,
-                    })
-                }
-            }
-        }
-        if nonempty != 0 && nonempty != n - 1 {
-            return Err(SimError::BroadcastViolated {
-                from: ctx.id,
-                round,
-            });
-        }
-    }
-    for (u, m) in B::row_iter(cur, n, row, v) {
-        if m.len() > bandwidth {
-            return Err(SimError::BandwidthExceeded {
-                from: ctx.id,
-                to: NodeId::from(u),
-                round,
-                bits: m.len(),
-                limit: bandwidth,
-            });
-        }
-        acc.messages += 1;
-        acc.bits += m.len() as u64;
-        acc.max_message_bits = acc.max_message_bits.max(m.len());
-    }
     Ok(())
 }
 
@@ -2390,7 +2130,7 @@ mod tests {
     }
 
     #[test]
-    fn crashed_node_fails_run_but_not_run_faulted() {
+    fn crashed_node_fails_run_but_not_run_in() {
         use crate::fault::FaultPlan;
         let n = 8;
         let mk = || {
@@ -2409,7 +2149,7 @@ mod tests {
                 round: 2
             }
         );
-        let out = engine.run_faulted(mk()).unwrap();
+        let out = engine.run_in(mk(), &mut DeliveryArena::new()).unwrap();
         assert!(out.outputs[6].is_none(), "crashed node has no output");
         assert_eq!(out.outputs.iter().filter(|o| o.is_some()).count(), n - 1);
         assert_eq!(out.stats.dead_nodes, 1);
@@ -2454,7 +2194,7 @@ mod tests {
                 .with_threads_exact(threads)
                 .with_transcripts(true)
                 .with_fault_plan(plan.clone())
-                .run_faulted(mk())
+                .run_in(mk(), &mut DeliveryArena::new())
                 .unwrap()
         };
         let seq = run(1);
@@ -2524,7 +2264,7 @@ mod tests {
                 .with_transcripts(true)
                 .with_delivery(mode)
                 .with_fault_plan(plan.clone())
-                .run_faulted(mk())
+                .run_in(mk(), &mut DeliveryArena::new())
                 .unwrap()
         };
         let seq = run(1, DeliveryMode::Dense);
@@ -2611,7 +2351,7 @@ mod tests {
         let out = Engine::new(n)
             .with_bandwidth(8)
             .with_fault_plan(plan)
-            .run_faulted(mk())
+            .run_in(mk(), &mut DeliveryArena::new())
             .unwrap();
         let peers = (n - 1) as u64;
         // The replay stepped rounds 1, 2, 3 and halted at 3 — the node
@@ -2635,12 +2375,12 @@ mod tests {
         let n = 6;
         let out = Engine::new(n)
             .with_fault_plan(FaultPlan::new(0).crash(NodeId(2), 1))
-            .run_faulted(sum_ids(n))
+            .run_in(sum_ids(n), &mut DeliveryArena::new())
             .unwrap();
         // Node 2 received round-0 broadcasts but crashed before reading
         // them; survivors all computed the full sum.
         let expect = (0..n as u64).sum::<u64>();
-        assert_eq!(out.unanimous(), Some(&expect));
+        assert_eq!(out.survivor_unanimous(), Some(&expect));
         assert_eq!(out.survivors().count(), n - 1);
     }
 
@@ -2853,7 +2593,7 @@ mod tests {
         let planned = Engine::new(n)
             .with_transcripts(true)
             .with_byzantine_plan(ByzantinePlan::new(99))
-            .run_byzantine(sum_ids(n))
+            .run_in(sum_ids(n), &mut DeliveryArena::new())
             .unwrap();
         assert_eq!(
             planned
@@ -2882,7 +2622,7 @@ mod tests {
         let plan = ByzantinePlan::new(17).traitor(NodeId(2)).garble(1.0);
         let out = Engine::new(n)
             .with_byzantine_plan(plan.clone())
-            .run_byzantine(sum_ids(n))
+            .run_in(sum_ids(n), &mut DeliveryArena::new())
             .unwrap();
         // Transcripts/stats still record the traitor's honest sends; the
         // rewrite log records the lies.
@@ -2894,7 +2634,7 @@ mod tests {
         assert_eq!(out.outputs[2], Some(expect));
         // The paper's all-node unanimity fails; only honest agreement is a
         // meaningful question under this adversary.
-        assert!(out.unanimous().is_none() || out.honest_unanimous(&plan).is_some());
+        assert!(out.survivor_unanimous().is_none() || out.honest_unanimous(&plan).is_some());
     }
 
     #[test]
@@ -2911,7 +2651,7 @@ mod tests {
                 .with_transcripts(true)
                 .with_threads_exact(threads)
                 .with_byzantine_plan(plan.clone())
-                .run_byzantine(sum_ids(n))
+                .run_in(sum_ids(n), &mut DeliveryArena::new())
                 .unwrap()
         };
         let base = run(1);
@@ -2934,7 +2674,7 @@ mod tests {
         let out = Engine::new(n)
             .with_byzantine_plan(byz)
             .with_fault_plan(faults)
-            .run_byzantine(sum_ids(n))
+            .run_in(sum_ids(n), &mut DeliveryArena::new())
             .unwrap();
         assert_eq!(out.stats.forged_messages, (n - 1) as u64);
         assert!(out.stats.dropped_messages > 0, "both adversaries fired");
@@ -2971,7 +2711,7 @@ mod tests {
                 .with_fault_plan(faults.clone())
                 .with_byzantine_plan(byz.clone())
                 .with_delivery(mode)
-                .run_byzantine(mk())
+                .run_in(mk(), &mut DeliveryArena::new())
                 .unwrap()
         };
         let base = run(DeliveryMode::Dense, 1);
@@ -3063,9 +2803,9 @@ mod tests {
                 .with_delivery(mode);
             let cold = engine.run(mk()).unwrap();
             let mut arena = DeliveryArena::new();
-            let first = engine.run_in(mk(), &mut arena).unwrap();
+            let first = engine.run_in(mk(), &mut arena).unwrap().complete().unwrap();
             assert!(arena.slot_footprint() > 0, "arena retained the buffers");
-            let warm = engine.run_in(mk(), &mut arena).unwrap();
+            let warm = engine.run_in(mk(), &mut arena).unwrap().complete().unwrap();
             let tag = mode.tag();
             assert_eq!(cold.outputs, warm.outputs, "{tag}");
             assert_eq!(cold.stats, first.stats, "{tag}");

@@ -6,7 +6,7 @@
 //! A [`FaultPlan`] is a pure-data, ChaCha-seeded schedule of adversarial
 //! events — crash-stop at a round, per-link message drop, deterministic
 //! bit-flip corruption, and bandwidth truncation — that the engine applies
-//! identically on its sequential and worker-pool paths.
+//! identically whether or not the worker pool engages.
 //!
 //! # Determinism contract
 //!

@@ -53,6 +53,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// Only the engine's round driver may opt out of the borrow checker (see
+// `engine::driver`); everything else is safe Rust.
+#![deny(unsafe_code)]
 // Fault paths must surface `SimError`, not panic: non-test code may not
 // unwrap/expect. Test modules are exempt (asserting via unwrap is idiomatic).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
@@ -72,7 +75,7 @@ pub use auth::{split_tagged, strip_tag, AuthKeyring, TAG_BITS};
 pub use bits::{BitReader, BitString, DecodeError};
 pub use byzantine::{ByzantineEvent, ByzantinePlan, ByzantineReport, ForcedLie, Lie};
 pub use delivery::{DeliveryArena, DeliveryMode};
-pub use engine::{ByzantineOutcome, Engine, FaultedOutcome, RunOutcome, SimError};
+pub use engine::{Engine, Outcome, SimError};
 pub use fault::{
     sync_overhead, ChurnError, FaultEvent, FaultKind, FaultPlan, FaultReport, ForcedFault,
     SyncOverhead,

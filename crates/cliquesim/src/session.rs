@@ -15,7 +15,7 @@
 use crate::auth::{AuthKeyring, TAG_BITS};
 use crate::bits::BitString;
 use crate::delivery::DeliveryArena;
-use crate::engine::{ByzantineOutcome, Engine, FaultedOutcome, RunOutcome, SimError};
+use crate::engine::{Engine, Outcome, SimError};
 use crate::node::{NodeId, NodeProgram};
 use crate::stats::RunStats;
 
@@ -95,44 +95,33 @@ impl Session {
         self.set_fault_offset(rounds);
     }
 
-    /// Run one phase; its rounds/bits are added to the session totals.
+    /// Run one phase that must give every node an output: the
+    /// crash-intolerant restriction of [`Session::run_byzantine`] (see
+    /// [`crate::Outcome::complete`]). Its rounds and bits are added to the
+    /// session totals only if it succeeds.
     pub fn run<P: NodeProgram>(
         &mut self,
         programs: Vec<P>,
-    ) -> Result<RunOutcome<P::Output>, SimError> {
-        let out = self.engine.run_in(programs, &mut self.arena)?;
-        self.stats.absorb(&out.stats);
-        self.phases += 1;
+    ) -> Result<Outcome<P::Output>, SimError> {
+        let out = self.engine.run_in(programs, &mut self.arena)?.complete()?;
+        self.charge(&out.stats);
         Ok(out)
     }
 
-    /// Run one phase under the engine's fault plan, tolerating crashed
-    /// nodes (their output slots are `None`). Rounds, bits, and the fault
-    /// counters are added to the session totals, so a resilient protocol's
-    /// overhead is visible in the same ledger as its fault exposure.
-    pub fn run_faulted<P: NodeProgram>(
-        &mut self,
-        programs: Vec<P>,
-    ) -> Result<FaultedOutcome<P::Output>, SimError> {
-        let out = self.engine.run_faulted_in(programs, &mut self.arena)?;
-        self.stats.absorb(&out.stats);
-        self.phases += 1;
-        Ok(out)
-    }
-
-    /// Run one phase under the engine's Byzantine plan (and fault plan, if
-    /// any), keeping the per-event rewrite log. Rounds, bits, and all
-    /// adversary counters are added to the session totals. Note that each
-    /// phase restarts its round count at 0, so a plan's round-addressed
-    /// schedule re-applies per phase unless the fault clock is advanced
-    /// with [`Session::align_fault_clock`].
+    /// Run one phase under whatever adversaries the engine carries,
+    /// tolerating crashed nodes (their output slots are `None`) and keeping
+    /// the fault report and the Byzantine rewrite log. Rounds, bits, and
+    /// all adversary counters are added to the session totals, so a
+    /// resilient protocol's overhead is visible in the same ledger as its
+    /// fault exposure. Note that each phase restarts its round count at 0,
+    /// so a plan's round-addressed schedule re-applies per phase unless the
+    /// fault clock is advanced with [`Session::align_fault_clock`].
     pub fn run_byzantine<P: NodeProgram>(
         &mut self,
         programs: Vec<P>,
-    ) -> Result<ByzantineOutcome<P::Output>, SimError> {
-        let out = self.engine.run_byzantine_in(programs, &mut self.arena)?;
-        self.stats.absorb(&out.stats);
-        self.phases += 1;
+    ) -> Result<Outcome<Option<P::Output>>, SimError> {
+        let out = self.engine.run_in(programs, &mut self.arena)?;
+        self.charge(&out.stats);
         Ok(out)
     }
 
@@ -243,11 +232,11 @@ mod tests {
     }
 
     #[test]
-    fn run_faulted_accumulates_fault_counters() {
+    fn run_byzantine_accumulates_fault_counters() {
         use crate::fault::FaultPlan;
         let mut s =
             Session::new(Engine::new(4).with_fault_plan(FaultPlan::new(0).crash(NodeId(3), 1)));
-        let out = s.run_faulted((0..4).map(|_| OneRound).collect()).unwrap();
+        let out = s.run_byzantine((0..4).map(|_| OneRound).collect()).unwrap();
         assert!(out.outputs[3].is_none());
         assert_eq!(s.stats().dead_nodes, 1);
         assert_eq!(s.phases(), 1);
@@ -261,11 +250,11 @@ mod tests {
         // one-round phase once the clock is aligned, unreachable otherwise.
         let plan = FaultPlan::new(0).crash(NodeId(3), 2);
         let mut s = Session::new(Engine::new(4).with_fault_plan(plan));
-        let p1 = s.run_faulted(mk()).unwrap();
+        let p1 = s.run_byzantine(mk()).unwrap();
         assert!(p1.outputs[3].is_some(), "plan round 2 is outside phase 1");
         s.align_fault_clock();
         assert_eq!(s.engine().fault_offset(), 1);
-        let p2 = s.run_faulted(mk()).unwrap();
+        let p2 = s.run_byzantine(mk()).unwrap();
         assert!(
             p2.outputs[3].is_none(),
             "plan round 2 = phase-2 local round 1"

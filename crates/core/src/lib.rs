@@ -19,6 +19,7 @@
 //! parameter ranges, and a complete protocol census at `n = 2` that makes
 //! the diagonal language concrete end-to-end (see DESIGN.md).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Index-driven loops over multiple parallel per-node arrays are the
 // dominant shape in this codebase; the iterator rewrites clippy suggests

@@ -5,7 +5,7 @@
 
 use cc_core::randomized::{OneSidedMonteCarlo, RandomizedColoring};
 use cc_graph::gen;
-use cc_testkit::{assert_transcripts_conform, differential_programs, AuditSpec};
+use cc_testkit::{assert_transcripts_conform, differential, AuditSpec};
 use cliquesim::{BitString, Engine, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -30,11 +30,14 @@ fn randomized_protocol_transcripts_are_byte_identical_across_pool_shapes() {
     let coins = seeded_coins(n, algo.coin_bits(n), 0xC01_FFEE);
 
     let label = "randomized-coloring[n=15, seed=0xC01FFEE]";
-    let (outputs, stats, transcripts) = differential_programs(label, &Engine::new(n), || {
+    let out = differential(label, &Engine::new(n), || {
         (0..n)
             .map(|v| algo.node(n, NodeId::from(v), &g.input_row(NodeId::from(v)), &coins[v]))
             .collect()
-    });
+    })
+    .complete()
+    .unwrap();
+    let (outputs, stats, transcripts) = (out.outputs, out.stats, out.transcripts.unwrap());
     assert_eq!(outputs.len(), n);
 
     // Audit the recorded transcripts against the model's strict
@@ -61,7 +64,7 @@ fn verifier_accepts_exactly_proper_colorings() {
 
     let proper: Vec<BitString> = colors.iter().map(|&c| encode(c)).collect();
     let label = "coloring-verifier[n=14, seed=23]";
-    let (outputs, _, _) = differential_programs(label, &Engine::new(n), || {
+    let outputs = differential(label, &Engine::new(n), || {
         (0..n)
             .map(|v| {
                 algo.node(
@@ -72,7 +75,10 @@ fn verifier_accepts_exactly_proper_colorings() {
                 )
             })
             .collect()
-    });
+    })
+    .complete()
+    .unwrap()
+    .outputs;
     assert!(
         cc_graph::reference::is_proper_coloring(&g, &colors),
         "{label}: planted coloring must be proper"
@@ -90,11 +96,14 @@ fn verifier_accepts_exactly_proper_colorings() {
     if let Some((u, v)) = first_edge {
         let mut bad = proper.clone();
         bad[v] = bad[u].clone();
-        let (outputs, _, _) = differential_programs(label, &Engine::new(n), || {
+        let outputs = differential(label, &Engine::new(n), || {
             (0..n)
                 .map(|x| algo.node(n, NodeId::from(x), &g.input_row(NodeId::from(x)), &bad[x]))
                 .collect()
-        });
+        })
+        .complete()
+        .unwrap()
+        .outputs;
         assert!(
             !outputs.iter().all(|&b| b),
             "{label}: verifier accepted a clashing coloring ({u},{v})"

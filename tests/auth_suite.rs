@@ -21,13 +21,13 @@
 //! * [`dolev_strong_overhead`]'s analytic `RunStats` equals the
 //!   simulated ledger outright.
 
-use cc_testkit::{auth_corpus, differential_authenticated, differential_programs, AuthCase};
+use cc_testkit::{auth_corpus, differential, AuthCase};
 use congested_clique::prelude::*;
 use congested_clique::resilient::{
     dolev_strong_broadcast, dolev_strong_overhead, equivocation_accusation, BrachaBroadcast,
     DolevStrongBroadcast, EquivocationProof, SignedClaim,
 };
-use congested_clique::sim::{ByzantineEvent, Inbox, NodeProgram, Outbox, TAG_BITS};
+use congested_clique::sim::{ByzantineEvent, Inbox, NodeProgram, Outbox, Outcome, TAG_BITS};
 use proptest::prelude::*;
 
 const WIDTH: usize = 8;
@@ -66,10 +66,15 @@ fn bracha_fails_on_the_boundary_plan_at_f_equals_ceil_n_over_3() {
     let source = NodeId(0);
     let f = n.div_ceil(3);
     let plan = boundary_plan(n, source);
-    let (outputs, _, _, _, byz) = cc_testkit::differential_byzantine(
+    let Outcome {
+        outputs,
+        byzantine: byz,
+        ..
+    } = differential(
         "bracha-at-the-boundary",
-        &Engine::new(n).with_bandwidth(WIDTH + 2),
-        &plan,
+        &Engine::new(n)
+            .with_bandwidth(WIDTH + 2)
+            .with_byzantine_plan(plan.clone()),
         || {
             (0..n)
                 .map(|_| BrachaBroadcast::new(source, VALUE, WIDTH, f))
@@ -103,11 +108,12 @@ fn dolev_strong_succeeds_on_the_byte_identical_boundary_plan() {
         boundary_plan(n, source),
         "the boundary plan must be reproducible for the pairing to mean anything"
     );
-    let (outputs, stats, _, _, _) = differential_authenticated(
+    let Outcome { outputs, stats, .. } = differential(
         "dolev-strong-at-the-boundary",
-        &Engine::new(n).with_bandwidth(ds_bandwidth(n, case.f)),
-        &case.keyring(),
-        &plan,
+        &Engine::new(n)
+            .with_bandwidth(ds_bandwidth(n, case.f))
+            .with_auth(case.keyring())
+            .with_byzantine_plan(plan.clone()),
         || ds_programs(&case, source),
     );
     for (v, out) in outputs.iter().enumerate() {
@@ -132,11 +138,17 @@ fn dolev_strong_agrees_for_every_seeded_honest_majority_case() {
     let source = NodeId(0);
     for case in auth_corpus() {
         let plan = case.plan(&[source]);
-        let (outputs, stats, _, _, byz) = differential_authenticated(
+        let Outcome {
+            outputs,
+            stats,
+            byzantine: byz,
+            ..
+        } = differential(
             "dolev-strong-sweep",
-            &Engine::new(case.n).with_bandwidth(ds_bandwidth(case.n, case.f)),
-            &case.keyring(),
-            &plan,
+            &Engine::new(case.n)
+                .with_bandwidth(ds_bandwidth(case.n, case.f))
+                .with_auth(case.keyring())
+                .with_byzantine_plan(plan.clone()),
             || ds_programs(&case, source),
         );
         if case.f > 0 {
@@ -229,10 +241,17 @@ fn rejected_tags_counts_every_forgery_and_no_honest_traffic() {
     let n = 8;
     let keyring = AuthKeyring::from_seed(n, 17);
     let plan = ByzantinePlan::new(17).traitor(NodeId(2)).forge(1.0);
-    let (_, stats, _, _, byz) =
-        differential_authenticated("forge-accounting", &Engine::new(n), &keyring, &plan, || {
-            gossip(n)
-        });
+    let Outcome {
+        stats,
+        byzantine: byz,
+        ..
+    } = differential(
+        "forge-accounting",
+        &Engine::new(n)
+            .with_auth(keyring.clone())
+            .with_byzantine_plan(plan.clone()),
+        || gossip(n),
+    );
     let forged = byz
         .events
         .iter()
@@ -247,10 +266,12 @@ fn rejected_tags_counts_every_forgery_and_no_honest_traffic() {
     assert_eq!(stats.signed_messages, 3 * (n as u64) * (n as u64 - 1));
 
     // The honest control: same keyring, no adversary — nothing rejected.
-    let (_, honest_stats, _) =
-        differential_programs("honest-control", &Engine::new(n).with_auth(keyring), || {
-            gossip(n)
-        });
+    let honest_stats = differential("honest-control", &Engine::new(n).with_auth(keyring), || {
+        gossip(n)
+    })
+    .complete()
+    .unwrap()
+    .stats;
     assert!(honest_stats.signed_messages > 0);
     assert_eq!(honest_stats.rejected_tags, 0, "honest traffic rejected?!");
 }
@@ -299,8 +320,8 @@ proptest! {
         // exactly as long as the program sent them — bit-identically
         // across the whole backends × pool-shapes grid (which the
         // differential runner itself asserts).
-        let (outputs, stats, transcripts) =
-            differential_programs("no-keyring", &Engine::new(n), || gossip(n));
+        let out = differential("no-keyring", &Engine::new(n), || gossip(n)).complete().unwrap();
+        let (outputs, stats, transcripts) = (out.outputs, out.stats, out.transcripts.unwrap());
         prop_assert_eq!(stats.signed_messages, 0);
         prop_assert_eq!(stats.auth_bits, 0);
         prop_assert_eq!(stats.rejected_tags, 0);
@@ -355,15 +376,20 @@ fn an_equivocation_witness_upgrades_into_a_transferable_proof() {
     let suspect = NodeId(3);
     let keyring = AuthKeyring::from_seed(n, 41);
     let plan = ByzantinePlan::new(41).traitor(suspect).garble(1.0);
-    let (outputs, _, _, _, _) =
-        differential_authenticated("accusation", &Engine::new(n), &keyring, &plan, || {
+    let Outcome { outputs, .. } = differential(
+        "accusation",
+        &Engine::new(n)
+            .with_auth(keyring.clone())
+            .with_byzantine_plan(plan.clone()),
+        || {
             (0..n)
                 .map(|_| FrameTap {
                     suspect,
                     frame: BitString::new(),
                 })
                 .collect::<Vec<_>>()
-        });
+        },
+    );
     let claims: Vec<SignedClaim> = (0..n)
         .filter(|&v| v != suspect.index())
         .filter_map(|v| SignedClaim::from_frame(suspect, 0, outputs[v].as_ref().unwrap()))

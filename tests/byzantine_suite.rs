@@ -15,12 +15,10 @@
 //!   nodes report `None` slots while surviving honest nodes stay unanimous,
 //!   and both adversaries' counters land in the same ledger.
 
-use cc_testkit::{
-    assert_empty_byzantine_transparent, differential_byzantine, equivocation_witness,
-};
+use cc_testkit::{assert_empty_adversary_transparent, differential, equivocation_witness};
 use congested_clique::prelude::*;
 use congested_clique::resilient::{bracha_broadcast, BrachaBroadcast, RepeatBroadcast};
-use congested_clique::sim::Lie;
+use congested_clique::sim::{Lie, Outcome};
 
 fn exchange_programs(n: usize) -> Vec<RepeatBroadcast> {
     (0..n as u64)
@@ -37,7 +35,7 @@ fn bracha_programs(n: usize, source: NodeId, value: u64, f: usize) -> Vec<Bracha
 #[test]
 fn empty_byzantine_plan_is_transparent_for_a_real_protocol() {
     let n = 9;
-    assert_empty_byzantine_transparent(
+    assert_empty_adversary_transparent(
         "repeat-broadcast",
         &Engine::new(n).with_bandwidth(8),
         || exchange_programs(n),
@@ -55,10 +53,16 @@ fn one_equivocating_traitor_forges_repeat_broadcast() {
     // and it survives every pool shape bit-identically.
     let n = 9;
     let plan = ByzantinePlan::new(1009).traitor(NodeId(4)).garble(1.0);
-    let (outputs, stats, _, _, byz) = differential_byzantine(
+    let Outcome {
+        outputs,
+        stats,
+        byzantine: byz,
+        ..
+    } = differential(
         "repeat-broadcast",
-        &Engine::new(n).with_bandwidth(8),
-        &plan,
+        &Engine::new(n)
+            .with_bandwidth(8)
+            .with_byzantine_plan(plan.clone()),
         || exchange_programs(n),
     );
     assert!(stats.forged_messages > 0, "{plan}: the traitor never lied");
@@ -102,10 +106,16 @@ fn bracha_agrees_for_every_traitor_count_below_a_third() {
             .garble(1.0)
             .replay(0.4)
             .silence(0.2);
-        let (outputs, stats, _, _, byz) = differential_byzantine(
+        let Outcome {
+            outputs,
+            stats,
+            byzantine: byz,
+            ..
+        } = differential(
             "bracha-broadcast",
-            &Engine::new(n).with_bandwidth(10),
-            &plan,
+            &Engine::new(n)
+                .with_bandwidth(10)
+                .with_byzantine_plan(plan.clone()),
             || bracha_programs(n, source, value, 4),
         );
         if f > 0 {
@@ -136,10 +146,15 @@ fn bracha_agrees_even_when_the_source_is_the_traitor() {
     let n = 15;
     let source = NodeId(3);
     let plan = ByzantinePlan::new(5151).traitor(source).garble(1.0);
-    let (outputs, _, _, _, byz) = differential_byzantine(
+    let Outcome {
+        outputs,
+        byzantine: byz,
+        ..
+    } = differential(
         "bracha-traitor-source",
-        &Engine::new(n).with_bandwidth(10),
-        &plan,
+        &Engine::new(n)
+            .with_bandwidth(10)
+            .with_byzantine_plan(plan.clone()),
         || bracha_programs(n, source, 0x2A, 4),
     );
     assert!(!byz.is_empty());
@@ -175,10 +190,15 @@ fn forced_lie_ready_drip_cannot_split_honest_nodes() {
     for u in 3..n {
         plan = plan.force(2, source, NodeId(u as u32), Lie::Silence);
     }
-    let (outputs, _, _, _, byz) = differential_byzantine(
+    let Outcome {
+        outputs,
+        byzantine: byz,
+        ..
+    } = differential(
         "bracha-forced-lie-drip",
-        &Engine::new(n).with_bandwidth(10),
-        &plan,
+        &Engine::new(n)
+            .with_bandwidth(10)
+            .with_byzantine_plan(plan.clone()),
         || bracha_programs(n, source, 0x5A, 1),
     );
     assert!(!byz.is_empty(), "{plan}: the traitor never lied");

@@ -14,6 +14,10 @@
 //! * the state-sync bill must match [`sync_overhead`]'s analytic price
 //!   exactly on an all-chatter workload, and the rejoiners' backfilled
 //!   transcripts must pass the bandwidth auditor;
+//! * [`SimError::NodeCrashed`] names the crash that stopped a node for
+//!   good — its last, under churn — on every pool shape and backend;
+//! * churn composes with every wire stage (Byzantine rewrite, signing, tag
+//!   forgery, link faults, verification) in one grid-identical run;
 //! * a **zero-rate** churn schedule must be byte-identical to the plain
 //!   plan it decorates (proptest-pinned: crash-only plans take the exact
 //!   pre-churn code path).
@@ -21,12 +25,12 @@
 //! Every panic carries a replayable `churn[n=…, seed=…]` label.
 
 use cc_testkit::{
-    assert_transcripts_conform, churn_corpus, differential_churn, judge_churn_accounting,
+    assert_transcripts_conform, churn_corpus, differential, judge_churn_accounting,
     judge_routed_delivery, AuditSpec, ChurnCase, BACKENDS, POOL_SHAPES,
 };
 use congested_clique::prelude::*;
 use congested_clique::routing::route_balanced_faulted;
-use congested_clique::sim::{sync_overhead, Inbox, Outbox};
+use congested_clique::sim::{sync_overhead, DeliveryArena, Inbox, Outbox, Outcome, SimError};
 use proptest::prelude::*;
 
 /// Broadcast-until-`horizon` chatter: every live node broadcasts a 1-bit
@@ -68,8 +72,16 @@ fn churn_corpus_replays_bit_identically_with_a_closed_ledger() {
     let mut any_rejoined = false;
     for case in churn_corpus() {
         let horizon = case.max_round + 2;
-        let (outputs, stats, _, report) =
-            differential_churn(&case, &Engine::new(case.n), || chatter(case.n, horizon));
+        let Outcome {
+            outputs,
+            stats,
+            faults: report,
+            ..
+        } = differential(
+            &case.to_string(),
+            &Engine::new(case.n).with_fault_plan(case.plan()),
+            || chatter(case.n, horizon),
+        );
         judge_churn_accounting(&case.to_string(), &case.plan(), &stats, &report);
         assert!(outputs[0].is_some(), "{case}: spared node 0 must finish");
         any_rejoined |= stats.rejoined_nodes > 0;
@@ -141,7 +153,7 @@ fn state_sync_price_matches_the_analytic_model_and_passes_the_auditor() {
     let out = Engine::new(case.n)
         .with_transcripts(true)
         .with_fault_plan(plan.clone())
-        .run_faulted(chatter(case.n, horizon))
+        .run_in(chatter(case.n, horizon), &mut DeliveryArena::new())
         .unwrap_or_else(|e| panic!("{case}: engine error: {e}"));
     assert_eq!(out.stats.rejoined_nodes, predicted.rejoins, "{case}");
     assert_eq!(out.stats.sync_rounds, predicted.sync_rounds, "{case}");
@@ -153,6 +165,76 @@ fn state_sync_price_matches_the_analytic_model_and_passes_the_auditor() {
         &transcripts,
         &out.stats,
         &AuditSpec::model(case.n),
+    );
+}
+
+#[test]
+fn node_crashed_names_the_crash_that_stopped_the_node() {
+    // Node 1 crashes at round 2, rejoins at 4 and crashes for good at 6;
+    // the programs halt at round 10. `Engine::run` must name the last
+    // crash (round 6), not the first, on every cell of the grid (n = 15 ≥
+    // 2·7, so every pool shape engages).
+    let n = 15;
+    let plan = FaultPlan::new(0)
+        .crash(NodeId(1), 2)
+        .rejoin(NodeId(1), 4)
+        .expect("crash precedes rejoin")
+        .crash(NodeId(1), 6);
+    for mode in BACKENDS {
+        for threads in POOL_SHAPES {
+            let err = Engine::new(n)
+                .with_threads_exact(threads)
+                .with_delivery(mode)
+                .with_fault_plan(plan.clone())
+                .run(chatter(n, 10))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SimError::NodeCrashed {
+                    node: NodeId(1),
+                    round: 6
+                },
+                "node1@{} under {plan} at threads={threads}",
+                mode.tag()
+            );
+        }
+    }
+}
+
+#[test]
+fn every_wire_stage_composes_with_churn_in_one_run() {
+    // All five wire stages at once — Byzantine rewrite (garble), signing,
+    // tag forgery, link faults (drop + corrupt), verification — plus the
+    // churn prologue (crashes, rejoins, state sync), replayed over the
+    // whole backends × pool-shapes grid, with the sync ledger closed.
+    let case = ChurnCase::new(15, 2);
+    let n = case.n;
+    let byz = ByzantinePlan::new(5)
+        .with_random_traitors(n, 2, &[NodeId(0)])
+        .garble(0.5)
+        .forge(0.5);
+    let plan = case.plan().drop_messages(0.1).corrupt_messages(0.1);
+    let engine = Engine::new(n)
+        .with_auth(AuthKeyring::from_seed(n, 5))
+        .with_byzantine_plan(byz.clone())
+        .with_fault_plan(plan.clone());
+    let label = format!("{case}+wire");
+    let out = differential(&label, &engine, || chatter(n, case.max_round + 2));
+    judge_churn_accounting(&label, &plan, &out.stats, &out.faults);
+    let s = &out.stats;
+    assert!(s.rejoined_nodes > 0, "{label}: nothing rejoined");
+    assert!(s.sync_messages > 0, "{label}: state sync carried nothing");
+    assert!(s.signed_messages > 0, "{label}: nothing signed");
+    assert!(s.forged_messages > 0, "{label}: {byz} never lied");
+    assert!(s.rejected_tags > 0, "{label}: no frame failed verification");
+    assert!(s.dropped_messages > 0, "{label}: {plan} dropped nothing");
+    assert!(
+        s.corrupted_messages > 0,
+        "{label}: {plan} corrupted nothing"
+    );
+    assert!(
+        out.outputs[0].is_some(),
+        "{label}: spared node 0 must finish"
     );
 }
 
@@ -171,10 +253,10 @@ proptest! {
         let plain = FaultPlan::new(seed).with_random_crashes(n, f, 3, &[]);
         let churned = plain.clone().with_random_churn(n, 0, 0, 12, &[]);
         prop_assert_eq!(&plain, &churned, "zero-rate churn changed the plan");
-        let a = cc_testkit::differential_faulted("plain", &Engine::new(n), &plain, || {
+        let a = differential("plain", &Engine::new(n).with_fault_plan(plain.clone()), || {
             chatter(n, 4)
         });
-        let b = cc_testkit::differential_faulted("churned", &Engine::new(n), &churned, || {
+        let b = differential("churned", &Engine::new(n).with_fault_plan(churned.clone()), || {
             chatter(n, 4)
         });
         prop_assert_eq!(&a, &b, "zero-rate churn changed a crash-only run");

@@ -12,10 +12,10 @@
 //! * the resilient wrappers degrade as documented under drop and
 //!   corruption plans.
 
-use cc_testkit::{assert_empty_plan_transparent, differential_faulted};
+use cc_testkit::{assert_empty_adversary_transparent, differential};
 use congested_clique::prelude::*;
 use congested_clique::resilient::{echo_broadcast, max_gossip, RepeatBroadcast};
-use congested_clique::sim::FaultedOutcome;
+use congested_clique::sim::Outcome;
 
 fn exchange_programs(n: usize) -> Vec<RepeatBroadcast> {
     (0..n as u64)
@@ -26,7 +26,7 @@ fn exchange_programs(n: usize) -> Vec<RepeatBroadcast> {
 #[test]
 fn empty_plan_is_transparent_for_a_real_protocol() {
     let n = 9;
-    assert_empty_plan_transparent(
+    assert_empty_adversary_transparent(
         "repeat-broadcast",
         &Engine::new(n).with_bandwidth(8),
         || exchange_programs(n),
@@ -42,16 +42,17 @@ fn one_plan_one_behaviour_across_pool_shapes() {
         .drop_messages(0.15)
         .corrupt_messages(0.1)
         .truncate_messages(0.05);
-    let (outputs, stats, _, faults) = differential_faulted(
+    let out = differential(
         "repeat-broadcast",
-        &Engine::new(n).with_bandwidth(8),
-        &plan,
+        &Engine::new(n)
+            .with_bandwidth(8)
+            .with_fault_plan(plan.clone()),
         || exchange_programs(n),
     );
-    assert_eq!(stats.dead_nodes, 3, "all three scheduled crashes fired");
-    assert_eq!(outputs.iter().filter(|o| o.is_none()).count(), 3);
-    assert!(stats.dropped_messages > 0, "{plan}: nothing dropped");
-    assert!(!faults.is_empty());
+    assert_eq!(out.stats.dead_nodes, 3, "all three scheduled crashes fired");
+    assert_eq!(out.outputs.iter().filter(|o| o.is_none()).count(), 3);
+    assert!(out.stats.dropped_messages > 0, "{plan}: nothing dropped");
+    assert!(!out.faults.is_empty());
 }
 
 #[test]
@@ -65,7 +66,7 @@ fn echo_broadcast_survives_a_third_of_the_clique_crashing() {
     // Fault-free baseline for the overhead comparison.
     let mut clean = Session::new(Engine::new(n).with_bandwidth(8));
     let baseline = echo_broadcast(&mut clean, source, value, 8).unwrap();
-    assert_eq!(baseline.unanimous(), Some(&Some(value)));
+    assert_eq!(baseline.survivor_unanimous(), Some(&Some(value)));
 
     let plan = FaultPlan::new(77).with_random_crashes(n, 3, 2, &[source]);
     let mut session = Session::new(
@@ -73,10 +74,10 @@ fn echo_broadcast_survives_a_third_of_the_clique_crashing() {
             .with_bandwidth(8)
             .with_fault_plan(plan.clone()),
     );
-    let out: FaultedOutcome<Option<u64>> = echo_broadcast(&mut session, source, value, 8).unwrap();
+    let out: Outcome<Option<Option<u64>>> = echo_broadcast(&mut session, source, value, 8).unwrap();
 
     assert_eq!(
-        out.unanimous(),
+        out.survivor_unanimous(),
         Some(&Some(value)),
         "{plan}: survivors disagree or lost the value"
     );
@@ -106,7 +107,7 @@ fn gossip_aggregation_beats_crashes_and_drops() {
         .drop_messages(0.2);
     let mut session = Session::new(Engine::new(n).with_bandwidth(8).with_fault_plan(plan));
     let out = max_gossip(&mut session, &values, 8, 5).unwrap();
-    assert_eq!(out.unanimous(), Some(&expect));
+    assert_eq!(out.survivor_unanimous(), Some(&expect));
     assert_eq!(out.stats.dead_nodes, 3);
     assert!(out.stats.dropped_messages > 0);
 }
