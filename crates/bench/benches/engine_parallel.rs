@@ -1,5 +1,5 @@
-//! Engine ablation: sequential vs pooled node stepping, and dense vs
-//! sparse delivery backends. Outputs, round counts, and all model-level
+//! Engine ablation: sequential vs multi-threaded node stepping, and dense
+//! vs sparse delivery backends. Outputs, round counts, and all model-level
 //! [`RunStats`] fields are bit-identical by construction (asserted below
 //! over pool shapes the host may not even have cores for, and across both
 //! backends); only wall time and buffer footprint differ, which is what
@@ -9,7 +9,12 @@
 //! interleaved (per-round-spawn engine vs persistent pool with
 //! double-buffered delivery): 457.4 ms → 169.9 ms and 405.0 ms →
 //! 169.2 ms, i.e. a 2.4–2.7× improvement (threads1: ~292–331 ms →
-//! ~182–190 ms). The broadcast sweep below extends the envelope from
+//! ~182–190 ms). Replacing that persistent barrier-parked pool with
+//! scoped threads spawned each round (no `unsafe`) cost, on a 2-vCPU host,
+//! medians of 5 interleaved runs × 5 solves: `with_threads(2)` 356.0 ms →
+//! 397.2 ms and `with_threads_exact(4)` 398.4 ms → 509.0 ms — a thread
+//! spawn per chunk per round costs more than a barrier round trip there.
+//! The broadcast sweep below extends the envelope from
 //! n = 64 to n = 1024 and writes machine-readable results to
 //! `BENCH_engine.json` (see `Cargo.toml`'s bench notes).
 //!
@@ -166,7 +171,11 @@ fn write_json(path: &str, smoke: bool, rows: &[SweepRow]) {
     out.push_str(
         "  \"history\": [\n    {\"pr\": 1, \"id\": \"apsp_n64_threads4\", \
          \"median_ms_before\": 457.4, \"median_ms_after\": 169.9,\n     \
-         \"note\": \"per-round thread spawn -> persistent pool + double-buffered delivery\"}\n  ],\n",
+         \"note\": \"per-round thread spawn -> persistent pool + double-buffered delivery\"},\n    \
+         {\"id\": \"apsp_n64_scoped_step\", \"host_parallelism\": 2,\n     \
+         \"threads2_median_ms_before\": 356.0, \"threads2_median_ms_after\": 397.2,\n     \
+         \"exact4_median_ms_before\": 398.4, \"exact4_median_ms_after\": 509.0,\n     \
+         \"note\": \"persistent barrier pool -> scoped threads spawned per round, no unsafe\"}\n  ],\n",
     );
     out.push_str("  \"broadcast_sweep\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -198,7 +207,7 @@ fn bench(c: &mut Criterion) {
         let par = apsp_stats(n, threads, true);
         assert_eq!(
             seq, par,
-            "pooled stepping with {threads} workers changed model-level stats"
+            "stepping on {threads} threads changed model-level stats"
         );
     }
     println!(

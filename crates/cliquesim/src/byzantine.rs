@@ -38,7 +38,7 @@
 //! inversions keep the payload length, and replays reuse a payload that
 //! already passed the bound.
 //!
-//! Rewrites are applied on the main thread between round barriers, after
+//! Rewrites are applied on the main thread between step phases, after
 //! the sender-side accounting and transcript recording — a traitor's
 //! transcript records what its (honest) program *sent*, and recipients
 //! see what the adversary *substituted*. Byzantine rewrites strike

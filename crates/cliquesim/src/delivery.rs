@@ -107,8 +107,8 @@ impl DeliveryArena {
 }
 
 /// A double-buffered delivery backend: everything the engine's round loop
-/// needs, expressed over a flat slice of `Slot`s so the worker pool can
-/// carve disjoint per-worker ranges.
+/// needs, expressed over a flat slice of `Slot`s so the parallel step phase
+/// can carve disjoint per-chunk ranges.
 ///
 /// `Slot` granularity differs per backend — a dense buffer has `n²`
 /// [`BitString`] slots (one per ordered pair), a sparse buffer has `n`
@@ -117,7 +117,7 @@ impl DeliveryArena {
 /// slice.
 pub(crate) trait DeliveryBuf: Sized + Send {
     /// Element type of the flat slot slice.
-    type Slot: Send;
+    type Slot: Send + Sync;
 
     /// Check a buffer pair out of the arena (reusing a retained pair of the
     /// right size) and reset it: round 0 reads the previous-round buffer
@@ -131,7 +131,7 @@ pub(crate) trait DeliveryBuf: Sized + Send {
     /// The full slot slice, mutably.
     fn slots_mut(&mut self) -> &mut [Self::Slot];
 
-    /// Slot range owned by a worker stepping nodes `lo..hi`.
+    /// Slot range owned by a chunk stepping nodes `lo..hi`.
     fn slot_range(n: usize, lo: usize, hi: usize) -> Range<usize>;
 
     /// Clear sender row `row` (relative to `slots`) in place, retaining

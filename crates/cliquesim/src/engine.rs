@@ -10,11 +10,14 @@
 //! One round driver runs every round the same way: a main-thread prologue
 //! (crashes, rejoins, activity snapshot), the step phase, and a main-thread
 //! epilogue (round close, the wire pipeline, deadline and cancel checks).
-//! Node steps within a round are independent, so the step phase can run on
-//! a **persistent worker pool** created once per run: workers park on a
-//! round barrier, step a fixed chunk of nodes, publish a per-chunk
-//! accumulator, and park again — no per-round thread creation. Without a
-//! pool the main thread runs the same step function inline over all nodes.
+//! Node steps within a round are independent — each node reads only its own
+//! state and last round's messages — so the step phase can split the nodes
+//! into **disjoint chunks**: each chunk mutably borrows its nodes' state and
+//! their rows of the write buffer, all chunks share the read buffer, and
+//! every chunk but the first is stepped on a scoped thread spawned for that
+//! round. The borrow checker proves the chunks disjoint. Without chunking
+//! the main thread runs the same step function inline over all nodes.
+//!
 //! Message delivery is **double-buffered** behind a pluggable backend (see
 //! [`DeliveryMode`]): the dense backend keeps a sender-major `n × n` matrix,
 //! the sparse backend a per-sender edge list with a shared broadcast
@@ -24,14 +27,13 @@
 //! nothing — slots are cleared in place, retaining capacity, and persist
 //! across runs via [`DeliveryArena`]).
 //!
-//! Pooled and inline execution produce bit-identical outputs, transcripts,
+//! Chunked and inline execution produce bit-identical outputs, transcripts,
 //! and [`RunStats`] (wall-clock timing excluded).
 
 use std::fmt;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::auth::{AuthKeyring, AuthLedger};
@@ -90,8 +92,9 @@ pub enum SimError {
         got: usize,
     },
     /// A node program panicked during its step. The engine converts the
-    /// panic into this structured error on both execution paths, so a buggy
-    /// program cannot poison the worker pool — the engine stays reusable.
+    /// panic into this structured error whichever thread stepped the node,
+    /// so a buggy program cannot tear down the run — the engine stays
+    /// reusable.
     NodeProgramPanicked {
         /// The panicking node.
         node: NodeId,
@@ -576,18 +579,21 @@ impl Engine {
         self
     }
 
-    /// Step nodes on up to `threads` OS threads via a per-run persistent
-    /// worker pool. Results are identical to an inline run; only
-    /// wall-clock changes.
+    /// Step nodes on up to `threads` OS threads: each round the nodes are
+    /// split into `threads` contiguous chunks, the main thread steps the
+    /// first and a scoped thread spawned for that round steps each of the
+    /// others. Results are identical to an inline run; only wall-clock
+    /// changes.
     ///
-    /// The pool engages only when `threads > 1` and `n ≥ 2·threads`
-    /// (every worker gets at least two nodes); otherwise the main thread
-    /// steps every node inline.
+    /// Chunking engages only when `threads > 1` and `n ≥ 2·threads` (every
+    /// chunk gets at least two nodes); otherwise the main thread steps
+    /// every node inline.
     ///
-    /// The pool is capped at the host's available parallelism: workers
+    /// The count is capped at the host's available parallelism: threads
     /// beyond the core count cannot execute concurrently and would only add
-    /// barrier latency. Use [`Engine::with_threads_exact`] when a test or
-    /// benchmark must exercise a specific pool shape regardless of host.
+    /// spawn and join latency. Use [`Engine::with_threads_exact`] when a
+    /// test or benchmark must exercise a specific pool shape (thread count)
+    /// regardless of host.
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1);
         self.threads = threads;
@@ -596,9 +602,9 @@ impl Engine {
     }
 
     /// Like [`Engine::with_threads`] but without the host-parallelism cap:
-    /// exactly this many workers are spawned (pool-shape determinism for
-    /// tests and benchmarks; on an undersized host this only costs
-    /// wall-clock, never correctness).
+    /// the step phase uses exactly this many threads (pool-shape
+    /// determinism for tests and benchmarks; on an undersized host this
+    /// only costs wall-clock, never correctness).
     pub fn with_threads_exact(mut self, threads: usize) -> Self {
         assert!(threads >= 1);
         self.threads = threads;
@@ -684,7 +690,10 @@ impl Engine {
         let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
         let mut book = RoundBook::new(self);
         let result = self.drive(
-            driver::Cells::share(&mut programs, &mut halted, &mut outputs, &mut bufs),
+            &mut programs,
+            &mut halted,
+            &mut outputs,
+            &mut bufs,
             &ctxs,
             &mut book,
         );
@@ -695,9 +704,79 @@ impl Engine {
         Ok(book.finish(outputs))
     }
 
-    /// Worker count the step phase may use: the configured thread count,
+    /// Drive a run round by round until every node halts or the run
+    /// fails. Every main-thread section appears here once.
+    fn drive<P: NodeProgram, B: DeliveryBuf>(
+        &self,
+        programs: &mut [P],
+        halted: &mut [bool],
+        outputs: &mut [Option<P::Output>],
+        bufs: &mut [B; 2],
+        ctxs: &[NodeCtx],
+        book: &mut RoundBook<'_>,
+    ) -> Result<(), SimError> {
+        let n = self.n;
+        let threads = self.step_threads();
+        // Chunked only when every thread gets at least two nodes.
+        let chunk = (threads > 1 && n >= 2 * threads).then(|| n.div_ceil(threads));
+        let started = Instant::now();
+        let mut active = vec![true; n];
+        let mut round = 0usize;
+        loop {
+            let [a, b] = &mut *bufs;
+            let (cur, prev) = match round % 2 {
+                0 => (a, b),
+                _ => (b, a),
+            };
+            let mut all = Nodes::<P, B> {
+                lo: 0,
+                programs: &mut *programs,
+                halted: &mut *halted,
+                outputs: &mut *outputs,
+                cur: cur.slots_mut(),
+                prev: prev.slots_mut(),
+            };
+            if let Some(plan) = book.plan {
+                // Churn prologue. Crashes fire before the activity
+                // snapshot: a node crashing in round r never steps in it,
+                // and the messages it was due to read this round (written
+                // last round) are lost. Rejoins fire right after: a node
+                // due back this round is replayed over its missed window
+                // and steps again from this round on. Running only here on
+                // the main thread (plus address-keyed coins) keeps the
+                // adversary pool-shape independent.
+                let inbound = B::view(all.prev, n);
+                plan.apply_crashes(
+                    book.fault_offset + round,
+                    all.halted,
+                    &inbound,
+                    &mut book.faults,
+                );
+                book.process_churn(round, plan, ctxs, &mut all, &inbound)?;
+            }
+            for (a, h) in active.iter_mut().zip(all.halted.iter()) {
+                *a = !*h;
+            }
+
+            let step_start = Instant::now();
+            let acc = match chunk {
+                Some(chunk) => self.step_chunks(&mut all, chunk, ctxs, round)?,
+                None => self.step_chunk(&mut all, ctxs, round)?,
+            };
+            let step_end = Instant::now();
+
+            if book.close_round::<P, B>(round, acc, &all, &active, step_start, step_end)? {
+                return Ok(());
+            }
+            book.wire::<B>(round, all.cur, all.prev);
+            self.check_interrupt(round, started)?;
+            round += 1;
+        }
+    }
+
+    /// Thread count the step phase may use: the configured thread count,
     /// capped at the host's parallelism unless set exactly.
-    fn pool_threads(&self) -> usize {
+    fn step_threads(&self) -> usize {
         if self.cap_threads_to_host {
             let host = std::thread::available_parallelism().map_or(1, |p| p.get());
             self.threads.min(host)
@@ -706,22 +785,68 @@ impl Engine {
         }
     }
 
-    /// The one step function: step nodes `nodes.lo..` for one round and
-    /// validate what they sent. Pool workers run it on their own chunk;
-    /// without a pool the main thread runs it inline over every node.
-    fn step_chunk<P: NodeProgram, B: DeliveryBuf>(
+    /// The parallel step phase: split `all` into disjoint chunks of
+    /// `chunk` nodes and their write rows, step chunk 0 on this thread and
+    /// every other chunk on its own scoped thread, and fold the results in
+    /// chunk order. The lowest chunk's error wins, which is the lowest
+    /// node's: the same error an inline step surfaces. Program panics are
+    /// already errors by then, so a panicking chunk thread is an engine
+    /// bug and is re-thrown here.
+    fn step_chunks<P: NodeProgram, B: DeliveryBuf>(
         &self,
-        nodes: driver::Nodes<'_, P, B>,
+        all: &mut Nodes<'_, P, B>,
+        chunk: usize,
         ctxs: &[NodeCtx],
         round: usize,
     ) -> Result<ChunkAcc, SimError> {
-        let (n, cur) = (self.n, nodes.cur);
+        let prev = all.prev;
+        let mut chunks = all
+            .programs
+            .chunks_mut(chunk)
+            .zip(all.halted.chunks_mut(chunk))
+            .zip(all.outputs.chunks_mut(chunk))
+            .zip(all.cur.chunks_mut(B::slot_range(self.n, 0, chunk).len()))
+            .enumerate()
+            .map(|(i, (((programs, halted), outputs), cur))| Nodes::<P, B> {
+                lo: i * chunk,
+                programs,
+                halted,
+                outputs,
+                cur,
+                prev,
+            });
+        let Some(mut first) = chunks.next() else {
+            return Ok(ChunkAcc::default());
+        };
+        std::thread::scope(|s| {
+            let rest: Vec<_> = chunks
+                .map(|mut nodes| s.spawn(move || self.step_chunk(&mut nodes, ctxs, round)))
+                .collect();
+            let mut acc = self.step_chunk(&mut first, ctxs, round)?;
+            for h in rest {
+                acc.fold(&h.join().unwrap_or_else(|payload| resume_unwind(payload))?);
+            }
+            Ok(acc)
+        })
+    }
+
+    /// The one step function: step nodes `nodes.lo..` for one round and
+    /// validate what they sent. The parallel step phase runs it on each
+    /// chunk; otherwise the main thread runs it inline over every node.
+    fn step_chunk<P: NodeProgram, B: DeliveryBuf>(
+        &self,
+        nodes: &mut Nodes<'_, P, B>,
+        ctxs: &[NodeCtx],
+        round: usize,
+    ) -> Result<ChunkAcc, SimError> {
+        let (n, lo, prev) = (self.n, nodes.lo, nodes.prev);
+        let cur = &mut *nodes.cur;
         let mut acc = ChunkAcc::default();
         let mine = nodes
             .programs
             .iter_mut()
-            .zip(nodes.halted)
-            .zip(nodes.outputs);
+            .zip(nodes.halted.iter_mut())
+            .zip(nodes.outputs.iter_mut());
         // `row` is relative to the chunk's write rows `cur`; `ctx.id` is
         // the node's absolute id.
         for (row, ((prog, halted), output)) in mine.enumerate() {
@@ -729,12 +854,12 @@ impl Engine {
             if *halted {
                 continue;
             }
-            let ctx = &ctxs[nodes.lo + row];
-            let inbox = B::inbox(nodes.prev, n, ctx.id.index());
+            let ctx = &ctxs[lo + row];
+            let inbox = B::inbox(prev, n, ctx.id.index());
             let status = {
                 let mut outbox = B::outbox(cur, n, row, ctx.id.index());
                 // A panicking program becomes a structured error, not a
-                // torn-down pool: the engine (and its caller) must stay
+                // torn-down run: the engine (and its caller) must stay
                 // usable after a buggy algorithm.
                 catch_unwind(AssertUnwindSafe(|| {
                     prog.step(ctx, round, &inbox, &mut outbox)
@@ -833,315 +958,16 @@ impl Engine {
     }
 }
 
-/// The round driver and the worker pool behind it: the only code in the
-/// crate allowed to opt out of the borrow checker, and only through
-/// `Cells::view`.
-///
-/// **Barrier protocol.** The run's node state (programs, halt flags,
-/// outputs) and both delivery buffers are shared with the pool as `Cells`.
-/// During a step phase — between the round-start and round-end barriers —
-/// each worker touches only its own node chunk and its rows of the write
-/// buffer, and reads the other buffer, which no one writes. Outside it
-/// every worker is parked at a barrier and only the main thread touches
-/// anything. `Barrier::wait` orders all memory accesses across each phase
-/// boundary.
-#[allow(unsafe_code)]
-mod driver {
-    use super::*;
-
-    impl Engine {
-        /// Drive a run round by round until every node halts or the run
-        /// fails. Spawns the pool when it engages (`threads > 1` and
-        /// `n ≥ 2·threads`), and has one exit that releases it.
-        pub(super) fn drive<P: NodeProgram, B: DeliveryBuf>(
-            &self,
-            cells: Cells<'_, P, B>,
-            ctxs: &[NodeCtx],
-            book: &mut RoundBook<'_>,
-        ) -> Result<(), SimError> {
-            let n = self.n;
-            let threads = self.pool_threads();
-            let (chunk, workers) = if threads > 1 && n >= 2 * threads {
-                let chunk = n.div_ceil(threads);
-                (chunk, n.div_ceil(chunk))
-            } else {
-                (n, 0)
-            };
-            let pool = Pool::new(workers);
-            let result = std::thread::scope(|s| {
-                for (w, slot) in pool.results.iter().enumerate() {
-                    let nodes = w * chunk..n.min(w * chunk + chunk);
-                    let (pool, cells) = (&pool, &cells);
-                    s.spawn(move || {
-                        pool.work(slot, |round| {
-                            // SAFETY: barrier protocol — in the step phase
-                            // this worker alone holds its chunk.
-                            let mine = unsafe { cells.view(round, nodes.clone()) };
-                            self.step_chunk(mine, ctxs, round)
-                        })
-                    });
-                }
-                let result = self.rounds(&cells, ctxs, book, (workers > 0).then_some(&pool));
-                pool.shutdown();
-                result
-            });
-            match result {
-                Ok(()) => Ok(()),
-                Err(StepAbort::Sim(e)) => Err(e),
-                Err(StepAbort::Panic(payload)) => resume_unwind(payload),
-            }
-        }
-
-        /// The round loop. Every main-thread section appears here once.
-        fn rounds<P: NodeProgram, B: DeliveryBuf>(
-            &self,
-            cells: &Cells<'_, P, B>,
-            ctxs: &[NodeCtx],
-            book: &mut RoundBook<'_>,
-            pool: Option<&Pool>,
-        ) -> Result<(), StepAbort> {
-            let n = self.n;
-            let started = Instant::now();
-            let mut active = vec![true; n];
-            let mut round = 0usize;
-            loop {
-                // SAFETY: barrier protocol — outside `Pool::step` the
-                // workers are parked, so the main thread holds every node.
-                let mut all = unsafe { cells.view(round, 0..n) };
-                if let Some(plan) = book.plan {
-                    // Churn prologue. Crashes fire before the activity
-                    // snapshot: a node crashing in round r never steps in
-                    // it, and the messages it was due to read this round
-                    // (written last round) are lost. Rejoins fire right
-                    // after: a node due back this round is replayed over
-                    // its missed window and steps again from this round
-                    // on. Running only here on the main thread (plus
-                    // address-keyed coins) keeps the adversary pool-shape
-                    // independent.
-                    let inbound = B::view(all.prev, n);
-                    plan.apply_crashes(
-                        book.fault_offset + round,
-                        all.halted,
-                        &inbound,
-                        &mut book.faults,
-                    );
-                    book.process_churn(round, plan, ctxs, &mut all, &inbound)?;
-                }
-                for (a, h) in active.iter_mut().zip(all.halted.iter()) {
-                    *a = !*h;
-                }
-
-                let step_start = Instant::now();
-                let acc = match pool {
-                    // `all` is dead in this arm: the workers hold their
-                    // chunks until `step` returns.
-                    Some(pool) => pool.step(round)?,
-                    None => self.step_chunk(all, ctxs, round)?,
-                };
-                let step_end = Instant::now();
-
-                // SAFETY: as above — the pool is parked again.
-                let all = unsafe { cells.view(round, 0..n) };
-                if book.close_round::<P, B>(round, acc, &all, &active, step_start, step_end)? {
-                    return Ok(());
-                }
-                book.wire::<B>(round, all.cur, all.prev);
-                self.check_interrupt(round, started)?;
-                round += 1;
-            }
-        }
-    }
-
-    /// Interior-mutability wrapper that lets the worker pool share the
-    /// run's state; sound only under the barrier protocol.
-    #[repr(transparent)]
-    struct SyncCell<T>(std::cell::UnsafeCell<T>);
-
-    // SAFETY: references are only handed out through `Cells::view`, whose
-    // callers promise disjoint access via the barrier protocol.
-    unsafe impl<T: Send> Sync for SyncCell<T> {}
-
-    impl<T> SyncCell<T> {
-        /// Wrap an exclusively-borrowed slice for sharing with the pool.
-        fn share(slice: &mut [T]) -> &[SyncCell<T>] {
-            // SAFETY: `repr(transparent)` gives identical layout, and the
-            // `&mut` guarantees no other live borrow for the returned
-            // lifetime.
-            unsafe { &*(slice as *mut [T] as *const [SyncCell<T>]) }
-        }
-
-        /// View a cell slice as mutable data.
-        ///
-        /// # Safety
-        /// The caller must hold exclusive access to every element per the
-        /// barrier protocol.
-        #[allow(clippy::mut_from_ref)]
-        unsafe fn exclusive(cells: &[SyncCell<T>]) -> &mut [T] {
-            // `repr(transparent)` lets the cell pointer double as the
-            // element pointer; `raw_get` is the sanctioned
-            // `&UnsafeCell → *mut` route.
-            let base = std::cell::UnsafeCell::raw_get(cells.as_ptr().cast());
-            std::slice::from_raw_parts_mut(base, cells.len())
-        }
-
-        /// View a cell slice as shared data.
-        ///
-        /// # Safety
-        /// The caller must guarantee no concurrent writers per the barrier
-        /// protocol.
-        unsafe fn shared(cells: &[SyncCell<T>]) -> &[T] {
-            &*(cells as *const [SyncCell<T>] as *const [T])
-        }
-    }
-
-    /// The run's per-node state and both delivery buffers, shared between
-    /// the main thread and the pool.
-    pub(super) struct Cells<'a, P: NodeProgram, B: DeliveryBuf> {
-        programs: &'a [SyncCell<P>],
-        halted: &'a [SyncCell<bool>],
-        outputs: &'a [SyncCell<Option<P::Output>>],
-        bufs: [&'a [SyncCell<B::Slot>]; 2],
-    }
-
-    impl<'a, P: NodeProgram, B: DeliveryBuf> Cells<'a, P, B> {
-        pub(super) fn share(
-            programs: &'a mut [P],
-            halted: &'a mut [bool],
-            outputs: &'a mut [Option<P::Output>],
-            bufs: &'a mut [B; 2],
-        ) -> Self {
-            let [a, b] = bufs;
-            Self {
-                programs: SyncCell::share(programs),
-                halted: SyncCell::share(halted),
-                outputs: SyncCell::share(outputs),
-                bufs: [
-                    SyncCell::share(a.slots_mut()),
-                    SyncCell::share(b.slots_mut()),
-                ],
-            }
-        }
-
-        /// The single accessor: nodes `nodes` in `round`, with their rows
-        /// of the write buffer `round % 2` and the whole read buffer.
-        ///
-        /// # Safety
-        /// Barrier protocol: while the view lives, the caller is the only
-        /// one touching those nodes and rows, and no one writes the read
-        /// buffer.
-        unsafe fn view(&self, round: usize, nodes: Range<usize>) -> Nodes<'_, P, B> {
-            let n = self.programs.len();
-            let write = round % 2;
-            Nodes {
-                lo: nodes.start,
-                cur: SyncCell::exclusive(
-                    &self.bufs[write][B::slot_range(n, nodes.start, nodes.end)],
-                ),
-                prev: SyncCell::shared(self.bufs[1 - write]),
-                programs: SyncCell::exclusive(&self.programs[nodes.clone()]),
-                halted: SyncCell::exclusive(&self.halted[nodes.clone()]),
-                outputs: SyncCell::exclusive(&self.outputs[nodes]),
-            }
-        }
-    }
-
-    /// Nodes `lo..lo + programs.len()` in one round: their programs, halt
-    /// flags and outputs, their rows `cur` of the write buffer, and the
-    /// whole buffer `prev` written last round.
-    pub(super) struct Nodes<'v, P: NodeProgram, B: DeliveryBuf> {
-        pub(super) lo: usize,
-        pub(super) programs: &'v mut [P],
-        pub(super) halted: &'v mut [bool],
-        pub(super) outputs: &'v mut [Option<P::Output>],
-        pub(super) cur: &'v mut [B::Slot],
-        pub(super) prev: &'v [B::Slot],
-    }
-
-    /// Why a step phase did not produce a [`ChunkAcc`].
-    pub(super) enum StepAbort {
-        /// The model rejected a node's behaviour.
-        Sim(SimError),
-        /// Engine code panicked on a worker; the payload is re-thrown on
-        /// the main thread once the pool is released.
-        Panic(Box<dyn std::any::Any + Send>),
-    }
-
-    impl From<SimError> for StepAbort {
-        fn from(e: SimError) -> Self {
-            StepAbort::Sim(e)
-        }
-    }
-
-    type ChunkResult = Mutex<Result<ChunkAcc, StepAbort>>;
-
-    /// Round synchronisation between the driver and its workers.
-    /// `Barrier::wait` is the only synchroniser; the atomics are plain
-    /// mailboxes written strictly between barriers, hence `Relaxed`. Each
-    /// worker publishes its chunk's result into its own slot.
-    struct Pool {
-        barrier: Barrier,
-        round: AtomicUsize,
-        stop: AtomicBool,
-        results: Vec<ChunkResult>,
-    }
-
-    fn lock(slot: &ChunkResult) -> std::sync::MutexGuard<'_, Result<ChunkAcc, StepAbort>> {
-        // Every write is one whole assignment of a finished result, so a
-        // poisoned slot still holds a valid one.
-        slot.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    impl Pool {
-        fn new(workers: usize) -> Self {
-            Self {
-                barrier: Barrier::new(workers + 1),
-                round: AtomicUsize::new(0),
-                stop: AtomicBool::new(false),
-                results: (0..workers)
-                    .map(|_| Mutex::new(Ok(ChunkAcc::default())))
-                    .collect(),
-            }
-        }
-
-        /// A worker's life: park at the round-start barrier, step its
-        /// chunk, publish the result, park at the round-end barrier.
-        fn work(&self, slot: &ChunkResult, step: impl Fn(usize) -> Result<ChunkAcc, SimError>) {
-            loop {
-                self.barrier.wait();
-                if self.stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let round = self.round.load(Ordering::Relaxed);
-                *lock(slot) = match catch_unwind(AssertUnwindSafe(|| step(round))) {
-                    Ok(result) => result.map_err(StepAbort::Sim),
-                    Err(payload) => Err(StepAbort::Panic(payload)),
-                };
-                self.barrier.wait();
-            }
-        }
-
-        /// Run one step phase on the workers and fold their chunks. The
-        /// lowest worker's error wins, which is the lowest node's: the same
-        /// error an inline step surfaces.
-        fn step(&self, round: usize) -> Result<ChunkAcc, StepAbort> {
-            self.round.store(round, Ordering::Relaxed);
-            self.barrier.wait(); // release the step phase
-            self.barrier.wait(); // wait for every chunk to finish
-            let mut acc = ChunkAcc::default();
-            for slot in &self.results {
-                let published = std::mem::replace(&mut *lock(slot), Ok(ChunkAcc::default()));
-                acc.fold(&published?);
-            }
-            Ok(acc)
-        }
-
-        /// Release the workers parked at the round-start barrier and let
-        /// them exit (a no-op without workers).
-        fn shutdown(&self) {
-            self.stop.store(true, Ordering::Relaxed);
-            self.barrier.wait();
-        }
-    }
+/// Nodes `lo..lo + programs.len()` in one round: their programs, halt
+/// flags and outputs, their rows `cur` of the write buffer, and the whole
+/// buffer `prev` written last round.
+struct Nodes<'v, P: NodeProgram, B: DeliveryBuf> {
+    lo: usize,
+    programs: &'v mut [P],
+    halted: &'v mut [bool],
+    outputs: &'v mut [Option<P::Output>],
+    cur: &'v mut [B::Slot],
+    prev: &'v [B::Slot],
 }
 
 #[derive(Default, Clone, Copy)]
@@ -1256,7 +1082,7 @@ impl<'e> RoundBook<'e> {
         round: usize,
         plan: &FaultPlan,
         ctxs: &[NodeCtx],
-        all: &mut driver::Nodes<'_, P, B>,
+        all: &mut Nodes<'_, P, B>,
         inbound: &BufView<'_>,
     ) -> Result<(), SimError> {
         let n = self.n;
@@ -1336,7 +1162,7 @@ impl<'e> RoundBook<'e> {
         &mut self,
         round: usize,
         acc: ChunkAcc,
-        all: &driver::Nodes<'_, P, B>,
+        all: &Nodes<'_, P, B>,
         active: &[bool],
         step_start: Instant,
         step_end: Instant,
@@ -1738,6 +1564,47 @@ mod tests {
             .run((0..8).map(|_| TooWide).collect::<Vec<_>>())
             .unwrap_err();
         assert_eq!(seq, par);
+
+        // Two violators in two different chunks, neither of them chunk 0
+        // at 3, 4 or 7 threads: the lowest node's error still wins.
+        let run = |threads| {
+            Engine::new(16)
+                .with_threads_exact(threads)
+                .run((0..16).map(|_| TwoTooWide).collect::<Vec<_>>())
+                .unwrap_err()
+        };
+        let seq = run(1);
+        assert!(
+            matches!(
+                seq,
+                SimError::BandwidthExceeded {
+                    from: NodeId(6),
+                    ..
+                }
+            ),
+            "{seq:?}"
+        );
+        for threads in [2, 3, 4, 7] {
+            assert_eq!(run(threads), seq, "threads={threads}");
+        }
+    }
+
+    /// Nodes 6 and 13 overflow the bandwidth.
+    struct TwoTooWide;
+    impl NodeProgram for TwoTooWide {
+        type Output = ();
+        fn step(
+            &mut self,
+            ctx: &NodeCtx,
+            _: usize,
+            _: &Inbox<'_>,
+            ob: &mut Outbox<'_>,
+        ) -> Status<()> {
+            if matches!(ctx.id.0, 6 | 13) {
+                ob.send(NodeId(0), BitString::zeros(ctx.bandwidth + 1));
+            }
+            Status::Halt(())
+        }
     }
 
     struct Forever;
@@ -2000,8 +1867,7 @@ mod tests {
     #[test]
     fn node_panic_is_a_structured_error_and_engine_stays_usable() {
         // The same engine value must survive a panicking program: run clean,
-        // panic, then run clean again — sequentially and on the pool (no
-        // poisoned barrier, no stuck parked workers).
+        // panic, then run clean again — inline and on scoped threads.
         for threads in [1usize, 4] {
             let engine = Engine::new(16).with_threads_exact(threads);
             let n = 16;

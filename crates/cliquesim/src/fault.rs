@@ -6,7 +6,7 @@
 //! A [`FaultPlan`] is a pure-data, ChaCha-seeded schedule of adversarial
 //! events — crash-stop at a round, per-link message drop, deterministic
 //! bit-flip corruption, and bandwidth truncation — that the engine applies
-//! identically whether or not the worker pool engages.
+//! identically whether or not the step phase runs on several threads.
 //!
 //! # Determinism contract
 //!
@@ -45,7 +45,7 @@
 //! * **Truncate**: the payload is cut to a strict prefix (possibly empty),
 //!   modelling a link that loses the tail of a frame.
 //!
-//! Faults are applied on the main thread between round barriers, after the
+//! Faults are applied on the main thread between step phases, after the
 //! sender-side accounting and transcript recording for the round — so a
 //! node's transcript records what it *sent* pre-fault and what it
 //! *received* post-fault, exactly the asymmetry a real lossy network shows.

@@ -53,9 +53,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// Only the engine's round driver may opt out of the borrow checker (see
-// `engine::driver`); everything else is safe Rust.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 // Fault paths must surface `SimError`, not panic: non-test code may not
 // unwrap/expect. Test modules are exempt (asserting via unwrap is idiomatic).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
