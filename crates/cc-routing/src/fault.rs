@@ -45,7 +45,7 @@ use cliquesim::{
 };
 
 use crate::router::{
-    build_streams, check_schedule, make_programs, parse_delivered, schedule_for, Delivered,
+    check_demands, check_schedule, router_programs, schedule_for, Delivered, DemandMatrix, Links,
     RouteError,
 };
 
@@ -180,13 +180,15 @@ impl CrashSet {
     }
 
     /// Split a demand set into the surviving part and the
-    /// [`Undeliverable`] records for demands touching a dead endpoint.
-    #[allow(clippy::type_complexity)]
+    /// [`Undeliverable`] records for demands touching a dead endpoint,
+    /// after rejecting bad demands as [`RouteError::BadDemand`].
     pub(crate) fn partition_demands(
         &self,
-        demands: Vec<Vec<(NodeId, BitString)>>,
-    ) -> (Vec<Vec<(NodeId, BitString)>>, Vec<Undeliverable>) {
-        let mut live: Vec<Vec<(NodeId, BitString)>> = Vec::with_capacity(demands.len());
+        n: usize,
+        demands: DemandMatrix,
+    ) -> Result<(DemandMatrix, Vec<Undeliverable>), RouteError> {
+        check_demands(n, &demands)?;
+        let mut live: DemandMatrix = Vec::with_capacity(n);
         let mut undeliverable = Vec::new();
         for (v, list) in demands.into_iter().enumerate() {
             let source = NodeId::from(v);
@@ -211,7 +213,7 @@ impl CrashSet {
             }
             live.push(keep);
         }
-        (live, undeliverable)
+        Ok((live, undeliverable))
     }
 }
 
@@ -299,9 +301,10 @@ impl RoutedOutcome {
 /// get `None` delivery slots regardless of when (or whether) the engine
 /// actually kills them — the planning view is authoritative.
 ///
-/// A node *outside* the crash set that crashes mid-phase yields
-/// [`RouteError::UnplannedCrash`]; probabilistic link damage can still
-/// surface as [`RouteError::Malformed`] — that tier wants
+/// A bad demand is rejected as [`RouteError::BadDemand`] whatever the
+/// crash set says. A node *outside* the crash set that crashes mid-phase
+/// yields [`RouteError::UnplannedCrash`]; probabilistic link damage can
+/// still surface as [`RouteError::Malformed`] — that tier wants
 /// [`route_resilient`].
 pub fn route_faulted(
     session: &mut Session,
@@ -309,14 +312,9 @@ pub fn route_faulted(
     crash: &CrashSet,
 ) -> Result<RoutedOutcome, RouteError> {
     let n = session.n();
-    assert_eq!(demands.len(), n, "one demand list per node");
-    let bandwidth = session.bandwidth();
-
-    let (live_demands, undeliverable) = crash.partition_demands(demands);
-    let streams = build_streams(n, live_demands);
-    let schedule = schedule_for(&streams, bandwidth);
-    let programs = make_programs(n, streams, schedule);
-
+    let (live_demands, undeliverable) = crash.partition_demands(n, demands)?;
+    let Links { streams, split } = Links::framed(n, live_demands)?;
+    let (programs, schedule) = router_programs(streams, session.bandwidth());
     let outcome = session.run_byzantine(programs)?;
     check_schedule(schedule, outcome.stats.rounds)?;
 
@@ -327,7 +325,7 @@ pub fn route_faulted(
             continue;
         }
         match slot {
-            Some(collected) => delivered.push(Some(parse_delivered(v, collected)?)),
+            Some(collected) => delivered.push(Some(split.deliver(v, collected)?)),
             None => return Err(RouteError::UnplannedCrash(NodeId::from(v))),
         }
     }
@@ -427,12 +425,9 @@ pub fn route_resilient(
     repeats: usize,
 ) -> Result<Vec<Delivered>, RouteError> {
     let n = session.n();
-    assert_eq!(demands.len(), n, "one demand list per node");
     assert!(repeats >= 1, "at least one transmission per chunk");
-    let bandwidth = session.bandwidth();
-
-    let streams = build_streams(n, demands);
-    let chunks = schedule_for(&streams, bandwidth);
+    let Links { streams, split } = Links::framed(n, demands)?;
+    let chunks = schedule_for(&streams, session.bandwidth());
     let programs: Vec<ResilientRouterNode> = streams
         .into_iter()
         .map(|row| ResilientRouterNode {
@@ -449,7 +444,7 @@ pub fn route_resilient(
     let mut result = Vec::with_capacity(n);
     for (v, slot) in outcome.outputs.into_iter().enumerate() {
         match slot {
-            Some(collected) => result.push(parse_delivered(v, collected)?),
+            Some(collected) => result.push(split.deliver(v, collected)?),
             None => return Err(RouteError::UnplannedCrash(NodeId::from(v))),
         }
     }

@@ -4,18 +4,28 @@
 //! protocol (reference \[43\] of Korhonen & Suomela, SPAA 2018), which the
 //! paper's Theorem 9 invokes as a black box.
 //!
-//! Two primitives are provided:
+//! Two oblivious schedules, each in two link formats:
 //!
-//! * [`route`] — the oblivious **static direct schedule**: every ordered
-//!   pair ships its (length-framed) stream over its private link, all links
-//!   in parallel; the phase costs exactly the maximum per-link load in
-//!   messages. This is optimal for the globally predictable, per-link
-//!   balanced patterns used by every algorithm in this workspace.
-//! * [`relay_broadcast`] / [`all_to_all_broadcast`] — collective operations
-//!   built on `route`, including the classic scatter-then-rebroadcast
-//!   doubling trick for large single-source broadcasts.
+//! | schedule | length-framed | sized (header-free) |
+//! |---|---|---|
+//! | **direct**: every ordered pair ships its stream over its private link, all links in parallel; costs the maximum per-link load | [`route`] | [`route_sized`] |
+//! | **balanced**: two-phase megastream scatter/forward; costs about the maximum per-node load over `n−1` links | [`route_balanced`] | [`route_balanced_sized`] |
 //!
-//! The [`fault`] module is the **fault-aware planning layer**: a
+//! A length-framed link stream carries each payload behind a
+//! [`LEN_HEADER_BITS`]-bit length header; a sized one concatenates payloads
+//! raw, which is legitimate only when every payload's size is global
+//! knowledge (see [`sized`], which also has the exact analytic cost twins).
+//! Both formats go through one crate-private link codec, and each
+//! schedule has one plan that takes the format as data. The direct schedule is optimal for the globally
+//! predictable, per-link balanced patterns used by most algorithms in this
+//! workspace; the balanced one serves per-link-skewed patterns.
+//!
+//! Collectives built on the direct schedule: [`all_to_all_broadcast`],
+//! [`all_to_all_sized`], and [`relay_broadcast`] (the classic
+//! scatter-then-rebroadcast doubling trick for large single-source
+//! broadcasts).
+//!
+//! The [`fault`] module holds the crash-aware and resilient variants: a
 //! [`CrashSet`] (derived from a `cliquesim::FaultPlan` or a live
 //! `FaultReport`) lets [`route_faulted`] and [`route_balanced_faulted`]
 //! re-plan demands around dead nodes — dropping demands to or from dead
@@ -23,6 +33,10 @@
 //! balanced-schedule segments away from dead intermediates — while
 //! [`route_resilient`] retransmits chunks over lossy links with a
 //! per-chunk majority vote, priced by [`resilient_overhead`].
+//!
+//! Every router taking a demand set rejects a demand to a node outside
+//! `0..n`, or from a node to itself, as [`RouteError::BadDemand`] before
+//! anything runs.
 //!
 //! [`lenzen_round_bound`] gives the accounting bound of the full Lenzen
 //! protocol for per-node balanced instances; the substitution rationale is

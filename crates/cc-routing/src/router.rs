@@ -19,11 +19,15 @@ use cliquesim::{
     BitString, DecodeError, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, Session, SimError, Status,
 };
 
-use crate::frames::{frame_all, parse_frames, rounds_for};
+use crate::frames::{parse_frames, rounds_for, LEN_HEADER_BITS};
 
 /// Messages delivered to one node by a routing phase: `(source, payload)`
 /// pairs, sources in increasing order, payloads per source in sending order.
 pub type Delivered = Vec<(NodeId, BitString)>;
+
+/// One demand list per node: `demands[v]` lists the `(destination,
+/// payload)` pairs originating at node `v`.
+pub(crate) type DemandMatrix = Vec<Vec<(NodeId, BitString)>>;
 
 /// Errors from a routing phase.
 #[derive(Debug)]
@@ -45,6 +49,14 @@ pub enum RouteError {
     /// streams may have been cut mid-chunk. Re-plan with a crash set that
     /// covers the fault plan (see `CrashSet::from_plan`).
     UnplannedCrash(NodeId),
+    /// The caller's demand set names a destination outside `0..n` or the
+    /// sending node itself; rejected before anything is planned.
+    BadDemand {
+        /// The node whose demand list holds the bad entry.
+        from: NodeId,
+        /// The rejected destination.
+        to: NodeId,
+    },
 }
 
 impl std::fmt::Display for RouteError {
@@ -63,6 +75,12 @@ impl std::fmt::Display for RouteError {
                 "node {} crashed but is not in the declared crash set",
                 v.display()
             ),
+            RouteError::BadDemand { from, to } => write!(
+                f,
+                "node {} demands delivery to {}, which is itself or not a node",
+                from.display(),
+                to.display()
+            ),
         }
     }
 }
@@ -75,11 +93,137 @@ impl From<SimError> for RouteError {
     }
 }
 
+/// Reject a demand set holding a destination outside `0..n` or a demand
+/// from a node to itself.
+pub(crate) fn check_demands(
+    n: usize,
+    demands: &[Vec<(NodeId, BitString)>],
+) -> Result<(), RouteError> {
+    assert_eq!(demands.len(), n, "one demand list per node");
+    for (v, list) in demands.iter().enumerate() {
+        if let Some(&(to, _)) = list
+            .iter()
+            .find(|(to, _)| to.index() >= n || to.index() == v)
+        {
+            return Err(RouteError::BadDemand {
+                from: NodeId::from(v),
+                to,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The link codec shared by every schedule: `streams[v][w]` is everything
+/// node `v` ships to node `w`, and `split` is how the receiver cuts that
+/// stream back into payloads.
+pub(crate) struct Links {
+    pub(crate) streams: Vec<Vec<BitString>>,
+    pub(crate) split: Split,
+}
+
+impl Links {
+    /// Length-framed link streams: each payload travels as
+    /// `len:32 || payload` ([`crate::frame`]).
+    pub(crate) fn framed(n: usize, demands: DemandMatrix) -> Result<Self, RouteError> {
+        let streams = encode(n, demands, |_, _, payload, stream| {
+            stream.push_uint(payload.len() as u64, LEN_HEADER_BITS)
+        })?;
+        Ok(Self {
+            streams,
+            split: Split::Frames,
+        })
+    }
+
+    /// Header-free link streams: payloads are concatenated raw and the
+    /// receiver splits by the globally known size lists.
+    pub(crate) fn sized(n: usize, demands: DemandMatrix) -> Result<Self, RouteError> {
+        let mut sizes = vec![vec![Vec::new(); n]; n];
+        let streams = encode(n, demands, |v, w, payload, _| {
+            sizes[v][w].push(payload.len())
+        })?;
+        Ok(Self {
+            streams,
+            split: Split::Sizes(sizes),
+        })
+    }
+}
+
+/// Check a demand set, then append every payload to its link stream after
+/// whatever `header` writes for it.
+fn encode(
+    n: usize,
+    demands: DemandMatrix,
+    mut header: impl FnMut(usize, usize, &BitString, &mut BitString),
+) -> Result<Vec<Vec<BitString>>, RouteError> {
+    check_demands(n, &demands)?;
+    let mut streams = vec![vec![BitString::new(); n]; n];
+    for (v, list) in demands.into_iter().enumerate() {
+        for (to, payload) in list {
+            let stream = &mut streams[v][to.index()];
+            header(v, to.index(), &payload, stream);
+            stream.extend_from(&payload);
+        }
+    }
+    Ok(streams)
+}
+
+/// How payloads share one link stream.
+pub(crate) enum Split {
+    /// Each payload carries a [`LEN_HEADER_BITS`]-bit length header.
+    Frames,
+    /// No headers: `sizes[v][w]` lists the bit lengths of `v`'s payloads
+    /// to `w` in sending order — global knowledge in the sized tier.
+    Sizes(Vec<Vec<Vec<usize>>>),
+}
+
+impl Split {
+    /// Cut the stream node `w` received from `src` back into payloads,
+    /// appended to `out` in sending order.
+    pub(crate) fn decode(
+        &self,
+        w: usize,
+        src: usize,
+        stream: BitString,
+        out: &mut Delivered,
+    ) -> Result<(), RouteError> {
+        let malformed = |e| RouteError::Malformed(NodeId::from(w), e);
+        match self {
+            Split::Frames => {
+                for payload in parse_frames(&stream).map_err(malformed)? {
+                    out.push((NodeId::from(src), payload));
+                }
+            }
+            Split::Sizes(sizes) => {
+                let mut r = stream.reader();
+                for &len in &sizes[src][w] {
+                    out.push((NodeId::from(src), r.read_bits(len).map_err(malformed)?));
+                }
+                r.expect_end().map_err(malformed)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Decode every per-source stream node `w` collected.
+    pub(crate) fn deliver(
+        &self,
+        w: usize,
+        collected: Vec<BitString>,
+    ) -> Result<Delivered, RouteError> {
+        let mut out = Vec::new();
+        for (src, stream) in collected.into_iter().enumerate() {
+            self.decode(w, src, stream, &mut out)?;
+        }
+        Ok(out)
+    }
+}
+
 /// The node program executing a static schedule: each round, ship the next
 /// bandwidth-sized chunk of every outgoing stream; collect incoming chunks;
 /// halt after the globally known schedule length.
 pub(crate) struct RouterNode {
-    /// Framed outgoing stream per destination; round `r` ships bits
+    /// Outgoing link stream per destination; round `r` ships bits
     /// `[r·B, (r+1)·B)`, cut on demand (cursor skips are O(1)).
     out_streams: Vec<BitString>,
     /// Read cursor per destination.
@@ -137,57 +281,32 @@ impl NodeProgram for RouterNode {
 /// `v`; multiple payloads per destination are allowed and arrive in order.
 /// Returns, per node, the delivered `(source, payload)` pairs. The phase
 /// costs exactly `max_{(u,w)} ⌈(Σ payload + 32·count) / B⌉` rounds, which
-/// the session records.
+/// the session records. A destination outside `0..n` or equal to its
+/// source is rejected as [`RouteError::BadDemand`].
 pub fn route(
     session: &mut Session,
     demands: Vec<Vec<(NodeId, BitString)>>,
 ) -> Result<Vec<Delivered>, RouteError> {
-    let n = session.n();
-    assert_eq!(demands.len(), n, "one demand list per node");
-    let bandwidth = session.bandwidth();
-
-    let streams = build_streams(n, demands);
-    let schedule = schedule_for(&streams, bandwidth);
-    let programs = make_programs(n, streams, schedule);
-
-    let outcome = session.run(programs)?;
-    check_schedule(schedule, outcome.stats.rounds)?;
-
-    // Parse each node's per-source streams back into payloads.
-    let mut result = Vec::with_capacity(n);
-    for (v, collected) in outcome.outputs.into_iter().enumerate() {
-        result.push(parse_delivered(v, collected)?);
-    }
-    Ok(result)
+    let links = Links::framed(session.n(), demands)?;
+    route_links(session, links)
 }
 
-/// Build the framed per-link stream matrix: `streams[v][w]` is everything
-/// node `v` ships to node `w`, each payload length-framed.
-pub(crate) fn build_streams(
-    n: usize,
-    demands: Vec<Vec<(NodeId, BitString)>>,
-) -> Vec<Vec<BitString>> {
-    let mut streams: Vec<Vec<BitString>> = Vec::with_capacity(n);
-    for (v, list) in demands.into_iter().enumerate() {
-        let mut per_dst: Vec<Vec<&BitString>> = vec![Vec::new(); n];
-        for (dst, payload) in &list {
-            assert_ne!(dst.index(), v, "demand from node {v} to itself");
-            per_dst[dst.index()].push(payload);
-        }
-        streams.push(
-            per_dst
-                .into_iter()
-                .map(|ps| {
-                    if ps.is_empty() {
-                        BitString::new()
-                    } else {
-                        frame_all(ps)
-                    }
-                })
-                .collect(),
-        );
-    }
-    streams
+/// The direct schedule over encoded link streams: run it, check the engine
+/// agreed on its length, and decode every node's streams.
+pub(crate) fn route_links(
+    session: &mut Session,
+    links: Links,
+) -> Result<Vec<Delivered>, RouteError> {
+    let Links { streams, split } = links;
+    let (programs, schedule) = router_programs(streams, session.bandwidth());
+    let outcome = session.run(programs)?;
+    check_schedule(schedule, outcome.stats.rounds)?;
+    outcome
+        .outputs
+        .into_iter()
+        .enumerate()
+        .map(|(w, collected)| split.deliver(w, collected))
+        .collect()
 }
 
 /// The globally known schedule length for a stream matrix: the maximum
@@ -201,13 +320,15 @@ pub(crate) fn schedule_for(streams: &[Vec<BitString>], bandwidth: usize) -> usiz
         .unwrap_or(0)
 }
 
-/// One [`RouterNode`] per node, all sharing the same schedule length.
-pub(crate) fn make_programs(
-    n: usize,
+/// One [`RouterNode`] per node, all sharing the stream matrix's schedule
+/// length, which is returned alongside.
+pub(crate) fn router_programs(
     streams: Vec<Vec<BitString>>,
-    schedule: usize,
-) -> Vec<RouterNode> {
-    streams
+    bandwidth: usize,
+) -> (Vec<RouterNode>, usize) {
+    let n = streams.len();
+    let schedule = schedule_for(&streams, bandwidth);
+    let programs = streams
         .into_iter()
         .map(|row| RouterNode {
             collected: vec![BitString::new(); n],
@@ -215,7 +336,8 @@ pub(crate) fn make_programs(
             out_streams: row,
             schedule,
         })
-        .collect()
+        .collect();
+    (programs, schedule)
 }
 
 /// Reject a schedule/engine disagreement as a structured error (a
@@ -228,51 +350,44 @@ pub(crate) fn check_schedule(expected: usize, actual: usize) -> Result<(), Route
     Ok(())
 }
 
-/// Parse one node's collected per-source streams back into delivered
-/// `(source, payload)` pairs.
-pub(crate) fn parse_delivered(
-    v: usize,
-    collected: Vec<BitString>,
-) -> Result<Delivered, RouteError> {
-    let mut delivered = Vec::new();
-    for (src, stream) in collected.into_iter().enumerate() {
-        if stream.is_empty() {
-            continue;
-        }
-        let payloads =
-            parse_frames(&stream).map_err(|e| RouteError::Malformed(NodeId::from(v), e))?;
-        for p in payloads {
-            delivered.push((NodeId::from(src), p));
-        }
-    }
-    Ok(delivered)
-}
-
 /// All-to-all broadcast: node `v` sends `payloads[v]` to everyone. Returns
-/// for each node the full vector of payloads (including its own, copied
-/// locally for free).
+/// for each node the full vector of payloads indexed by source (its own
+/// copied locally for free).
 pub fn all_to_all_broadcast(
     session: &mut Session,
     payloads: Vec<BitString>,
 ) -> Result<Vec<Vec<BitString>>, RouteError> {
+    all_to_all(session, payloads, route)
+}
+
+/// All-to-all broadcast over a direct router: [`route`] or
+/// [`crate::route_sized`].
+pub(crate) fn all_to_all(
+    session: &mut Session,
+    payloads: Vec<BitString>,
+    router: impl FnOnce(&mut Session, DemandMatrix) -> Result<Vec<Delivered>, RouteError>,
+) -> Result<Vec<Vec<BitString>>, RouteError> {
     let n = session.n();
     assert_eq!(payloads.len(), n);
-    let demands: Vec<Vec<(NodeId, BitString)>> = payloads
+    let demands: DemandMatrix = payloads
         .iter()
         .enumerate()
         .map(|(v, p)| {
             (0..n)
-                .filter(|&u| u != v)
-                .map(|u| (NodeId::from(u), p.clone()))
+                .filter(|&w| w != v)
+                .map(|w| (NodeId::from(w), p.clone()))
                 .collect()
         })
         .collect();
-    let delivered = route(session, demands)?;
+    let delivered = router(session, demands)?;
     let mut views = Vec::with_capacity(n);
-    for (v, mut inbox) in delivered.into_iter().enumerate() {
-        inbox.push((NodeId::from(v), payloads[v].clone()));
-        inbox.sort_by_key(|(src, _)| src.index());
-        views.push(inbox.into_iter().map(|(_, p)| p).collect());
+    for (v, list) in delivered.into_iter().enumerate() {
+        let mut view = vec![BitString::new(); n];
+        view[v] = payloads[v].clone();
+        for (src, payload) in list {
+            view[src.index()] = payload;
+        }
+        views.push(view);
     }
     Ok(views)
 }
@@ -495,6 +610,53 @@ mod tests {
         let payload = BitString::from_bits((0..20).map(|i| i % 2 == 0));
         let views = relay_broadcast(&mut s, NodeId(0), &payload).unwrap();
         assert_eq!(views, vec![payload.clone(), payload]);
+    }
+
+    #[test]
+    fn bad_demands_are_rejected_by_every_router() {
+        use crate::{
+            route_balanced, route_balanced_faulted, route_balanced_sized, route_faulted,
+            route_resilient, route_sized, CrashSet,
+        };
+        type Router = fn(&mut Session, DemandMatrix) -> Result<(), RouteError>;
+        let routers: [(&str, Router); 8] = [
+            ("route", |s, d| route(s, d).map(drop)),
+            ("route_sized", |s, d| route_sized(s, d).map(drop)),
+            ("route_balanced", |s, d| route_balanced(s, d).map(drop)),
+            ("route_balanced_sized", |s, d| {
+                route_balanced_sized(s, d).map(drop)
+            }),
+            ("route_faulted", |s, d| {
+                route_faulted(s, d, &CrashSet::new()).map(drop)
+            }),
+            // A dead sender does not turn a bad demand into an
+            // undeliverable record.
+            ("route_faulted, sender dead", |s, d| {
+                let crash = CrashSet::new().with(NodeId(1)).with(NodeId(2));
+                route_faulted(s, d, &crash).map(drop)
+            }),
+            ("route_balanced_faulted", |s, d| {
+                route_balanced_faulted(s, d, &CrashSet::new()).map(drop)
+            }),
+            ("route_resilient", |s, d| route_resilient(s, d, 3).map(drop)),
+        ];
+        let n = 4;
+        // A destination outside 0..n, then a demand to the sender itself.
+        for (from, to) in [(1, 4), (2, 2)] {
+            for (name, router) in routers {
+                let mut demands = vec![Vec::new(); n];
+                demands[0].push((NodeId(3), BitString::from_bits([true])));
+                demands[from].push((NodeId::from(to), BitString::from_bits([false])));
+                let mut s = session(n);
+                match router(&mut s, demands) {
+                    Err(RouteError::BadDemand { from: f, to: t }) => {
+                        assert_eq!((f.index(), t.index()), (from, to), "{name}")
+                    }
+                    other => panic!("{name}: expected BadDemand, got {other:?}"),
+                }
+                assert_eq!(s.phases(), 0, "{name}: ran before rejecting");
+            }
+        }
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //! nonzero-count gossip. Under that assumption the headers are pure
 //! overhead: every node can compute the exact split points itself.
 //!
-//! This module is the header-free rendering of both schedules:
+//! This module is the header-free rendering of both schedules. The link
+//! format is data (the crate's link codec builds header-free link streams
+//! plus the size lists receivers split them by), so each entry point is
+//! the framed schedule with the other codec:
 //!
 //! * [`route_sized`] — the direct schedule shipping raw concatenated
 //!   payloads; receivers split by the globally known size list.
-//! * [`route_balanced_sized`] — the two-phase balanced megastream with raw
-//!   (unframed) per-destination streams; reassembly slices by layout.
+//! * [`route_balanced_sized`] — the balanced plan of [`crate::balanced`]
+//!   over raw (unframed) link streams, both phases run on [`route_sized`].
 //! * [`all_to_all_sized`] — broadcast collective on [`route_sized`].
 //!
 //! Every entry point has an **exact analytic twin** ([`route_sized_cost`],
@@ -23,7 +26,9 @@
 //! full [`RunStats`] ledger — rounds, messages, bits, max message width,
 //! peak live payload bytes — from the demand sizes alone, asserted
 //! field-for-field against simulation the way `dolev_strong_overhead` is.
-//! The sparse matmul round-cost function is built on these twins.
+//! The twins are written independently of the simulated path on purpose:
+//! they are the reference it is checked against. The sparse matmul
+//! round-cost function is built on them.
 //!
 //! Sparse-payload caveat: a *zero-length* payload ships zero bits (and
 //! zero messages) yet is still delivered — the receiver knows its size.
@@ -31,12 +36,9 @@
 
 use cliquesim::{BitString, NodeId, RunStats, Session};
 
-use crate::balanced::{layout_for, missing_blob, segment_range, stitch, MegaLayout};
+use crate::balanced::{layout_for, segment_range, BalancedPlan, MegaLayout};
 use crate::frames::rounds_for;
-use crate::router::{check_schedule, make_programs, schedule_for, Delivered, RouteError};
-
-/// One demand list per node, as routed by [`route_sized`].
-type DemandMatrix = Vec<Vec<(NodeId, BitString)>>;
+use crate::router::{all_to_all, route_links, Delivered, DemandMatrix, Links, RouteError};
 
 /// Demand **sizes** in the same shape as a demand matrix: per sender, the
 /// `(destination, payload length in bits)` pairs in sending order. This is
@@ -56,17 +58,6 @@ pub fn demand_sizes(demands: &[Vec<(NodeId, BitString)>]) -> DemandSizes {
         .collect()
 }
 
-fn split_error(w: usize, wanted: usize, got: usize) -> RouteError {
-    RouteError::Malformed(
-        NodeId::from(w),
-        cliquesim::DecodeError {
-            at: got,
-            wanted,
-            len: got,
-        },
-    )
-}
-
 /// Route a demand set with the static direct schedule and **no frame
 /// headers**: per link, payloads are concatenated raw and split back by
 /// the globally known size list.
@@ -81,46 +72,8 @@ pub fn route_sized(
     session: &mut Session,
     demands: DemandMatrix,
 ) -> Result<Vec<Delivered>, RouteError> {
-    let n = session.n();
-    assert_eq!(demands.len(), n, "one demand list per node");
-    let bandwidth = session.bandwidth();
-
-    // Raw per-link streams plus the size lists needed to split them back.
-    let mut sizes: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); n]; n];
-    let mut streams: Vec<Vec<BitString>> = vec![vec![BitString::new(); n]; n];
-    for (v, list) in demands.into_iter().enumerate() {
-        for (dst, payload) in list {
-            assert_ne!(dst.index(), v, "demand from node {v} to itself");
-            sizes[v][dst.index()].push(payload.len());
-            streams[v][dst.index()].extend_from(&payload);
-        }
-    }
-
-    let schedule = schedule_for(&streams, bandwidth);
-    let programs = make_programs(n, streams, schedule);
-    let outcome = session.run(programs)?;
-    check_schedule(schedule, outcome.stats.rounds)?;
-
-    let mut result = Vec::with_capacity(n);
-    for (w, collected) in outcome.outputs.into_iter().enumerate() {
-        let mut delivered: Delivered = Vec::new();
-        for (src, stream) in collected.into_iter().enumerate() {
-            let lens = &sizes[src][w];
-            let want: usize = lens.iter().sum();
-            if stream.len() != want {
-                return Err(split_error(w, want, stream.len()));
-            }
-            let mut r = stream.reader();
-            for &len in lens {
-                let payload = r
-                    .read_bits(len)
-                    .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
-                delivered.push((NodeId::from(src), payload));
-            }
-        }
-        result.push(delivered);
-    }
-    Ok(result)
+    let links = Links::sized(session.n(), demands)?;
+    route_links(session, links)
 }
 
 /// All-to-all broadcast on [`route_sized`]: node `v` sends `payloads[v]`
@@ -131,194 +84,7 @@ pub fn all_to_all_sized(
     session: &mut Session,
     payloads: Vec<BitString>,
 ) -> Result<Vec<Vec<BitString>>, RouteError> {
-    let n = session.n();
-    assert_eq!(payloads.len(), n);
-    let demands: DemandMatrix = payloads
-        .iter()
-        .enumerate()
-        .map(|(v, p)| {
-            (0..n)
-                .filter(|&w| w != v)
-                .map(|w| (NodeId::from(w), p.clone()))
-                .collect()
-        })
-        .collect();
-    let delivered = route_sized(session, demands)?;
-    let mut views = Vec::with_capacity(n);
-    for (v, list) in delivered.into_iter().enumerate() {
-        let mut view = vec![BitString::new(); n];
-        view[v] = payloads[v].clone();
-        for (src, payload) in list {
-            view[src.index()] = payload;
-        }
-        views.push(view);
-    }
-    Ok(views)
-}
-
-/// The sized twin of `BalancedPlan`: identical megastream geometry, but
-/// per-destination streams are raw concatenations (no frame headers) and
-/// reassembly splits by the recorded payload sizes instead of parsing
-/// frames. Always runs over the full live set `0..n`.
-struct SizedPlan {
-    n: usize,
-    layouts: Vec<MegaLayout>,
-    megas: Vec<BitString>,
-    /// `payload_sizes[u][w]`: the bit lengths of `u`'s payloads to `w`, in
-    /// sending order.
-    payload_sizes: Vec<Vec<Vec<usize>>>,
-}
-
-impl SizedPlan {
-    fn new(n: usize, demands: DemandMatrix) -> Self {
-        let mut payload_sizes: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); n]; n];
-        let mut streams: Vec<Vec<BitString>> = vec![vec![BitString::new(); n]; n];
-        for (u, list) in demands.into_iter().enumerate() {
-            for (dst, payload) in list {
-                assert_ne!(dst.index(), u, "demand from node {u} to itself");
-                payload_sizes[u][dst.index()].push(payload.len());
-                streams[u][dst.index()].extend_from(&payload);
-            }
-        }
-        let layouts: Vec<MegaLayout> = streams
-            .iter()
-            .map(|row| layout_for(&row.iter().map(|s| s.len()).collect::<Vec<_>>()))
-            .collect();
-        let megas: Vec<BitString> = streams
-            .iter()
-            .map(|row| {
-                let mut m = BitString::new();
-                for s in row {
-                    m.extend_from(s);
-                }
-                m
-            })
-            .collect();
-        Self {
-            n,
-            layouts,
-            megas,
-            payload_sizes,
-        }
-    }
-
-    /// Which node holds segment `j` of sender `u`'s megastream.
-    fn intermediate_for(&self, u: usize, j: usize) -> usize {
-        (j + u) % self.n
-    }
-
-    fn scatter(&self) -> (DemandMatrix, Vec<Vec<BitString>>) {
-        let n = self.n;
-        let mut phase1: DemandMatrix = vec![Vec::new(); n];
-        let mut held: Vec<Vec<BitString>> = vec![vec![BitString::new(); n]; n];
-        for u in 0..n {
-            for j in 0..n {
-                let (a, b) = segment_range(self.layouts[u].total, n, j);
-                if a >= b {
-                    continue;
-                }
-                let mut r = self.megas[u].reader();
-                r.skip(a).expect("in range");
-                let seg = r.read_bits(b - a).expect("in range");
-                let p = self.intermediate_for(u, j);
-                if p == u {
-                    held[p][u] = seg;
-                } else {
-                    phase1[u].push((NodeId::from(p), seg));
-                }
-            }
-        }
-        (phase1, held)
-    }
-
-    fn slice(&self, held: &[Vec<BitString>]) -> (DemandMatrix, Vec<Vec<(usize, BitString)>>) {
-        let n = self.n;
-        let mut phase2: DemandMatrix = vec![Vec::new(); n];
-        let mut kept: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); n];
-        for p in 0..n {
-            for w in 0..n {
-                let mut blob = BitString::new();
-                for u in 0..n {
-                    // p holds segment j of u's megastream iff
-                    // intermediate_for(u, j) == p, i.e. j = p - u (mod n).
-                    let j = (p + n - u) % n;
-                    let (sa, sb) = segment_range(self.layouts[u].total, n, j);
-                    let (ra, rb) = self.layouts[u].ranges[w];
-                    let (ia, ib) = (sa.max(ra), sb.min(rb));
-                    if ia >= ib {
-                        continue;
-                    }
-                    let seg = &held[p][u];
-                    let mut r = seg.reader();
-                    r.skip(ia - sa).expect("in range");
-                    let piece = r.read_bits(ib - ia).expect("in range");
-                    blob.extend_from(&piece);
-                }
-                if blob.is_empty() {
-                    continue;
-                }
-                if p == w {
-                    kept[w].push((p, blob));
-                } else {
-                    phase2[p].push((NodeId::from(w), blob));
-                }
-            }
-        }
-        (phase2, kept)
-    }
-
-    fn reassemble(
-        &self,
-        w: usize,
-        blob_from: &[Option<BitString>],
-    ) -> Result<Delivered, RouteError> {
-        let n = self.n;
-        let mut per_sender: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); n];
-        let mut cursors: Vec<usize> = vec![0; n];
-        for p in 0..n {
-            for u in 0..n {
-                let j = (p + n - u) % n;
-                let (sa, sb) = segment_range(self.layouts[u].total, n, j);
-                let (ra, rb) = self.layouts[u].ranges[w];
-                let (ia, ib) = (sa.max(ra), sb.min(rb));
-                if ia >= ib {
-                    continue;
-                }
-                let blob = blob_from[p]
-                    .as_ref()
-                    .ok_or_else(|| RouteError::Malformed(NodeId::from(w), missing_blob(p)))?;
-                let mut r = blob.reader();
-                r.skip(cursors[p])
-                    .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
-                let piece = r
-                    .read_bits(ib - ia)
-                    .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
-                cursors[p] += ib - ia;
-                per_sender[u].push((ia, piece));
-            }
-        }
-        // Stitch each sender's pieces and split the raw stream by the
-        // known payload sizes (this is where the sized plan differs from
-        // the framed one, which parses length headers instead).
-        let mut delivered = Vec::new();
-        for u in 0..n {
-            let lens = &self.payload_sizes[u][w];
-            if lens.is_empty() {
-                continue;
-            }
-            let (ra, rb) = self.layouts[u].ranges[w];
-            let stream = stitch(std::mem::take(&mut per_sender[u]), rb - ra, ra)
-                .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
-            let mut r = stream.reader();
-            for &len in lens {
-                let payload = r
-                    .read_bits(len)
-                    .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
-                delivered.push((NodeId::from(u), payload));
-            }
-        }
-        Ok(delivered)
-    }
+    all_to_all(session, payloads, route_sized)
 }
 
 /// The two-phase balanced megastream schedule, header-free.
@@ -332,32 +98,7 @@ pub fn route_balanced_sized(
     demands: DemandMatrix,
 ) -> Result<Vec<Delivered>, RouteError> {
     let n = session.n();
-    assert_eq!(demands.len(), n);
-    let plan = SizedPlan::new(n, demands);
-
-    let (phase1, mut held) = plan.scatter();
-    let delivered1 = route_sized(session, phase1)?;
-    for (p, list) in delivered1.into_iter().enumerate() {
-        for (src, seg) in list {
-            held[p][src.index()] = seg;
-        }
-    }
-
-    let (phase2, kept) = plan.slice(&held);
-    let delivered2 = route_sized(session, phase2)?;
-
-    let mut result: Vec<Delivered> = Vec::with_capacity(n);
-    for w in 0..n {
-        let mut blob_from: Vec<Option<BitString>> = vec![None; n];
-        for (src, blob) in &delivered2[w] {
-            blob_from[src.index()] = Some(blob.clone());
-        }
-        for (p, blob) in &kept[w] {
-            blob_from[*p] = Some(blob.clone());
-        }
-        result.push(plan.reassemble(w, &blob_from)?);
-    }
-    Ok(result)
+    BalancedPlan::new(n, (0..n).collect(), Links::sized(n, demands)?).run(session, route_sized)
 }
 
 // ---------------------------------------------------------------------------
@@ -452,7 +193,7 @@ pub fn route_balanced_sized_cost(n: usize, bandwidth: usize, sizes: &DemandSizes
             assert_ne!(dst, u, "demand from node {u} to itself");
             stream_sizes[dst] += len;
         }
-        layouts.push(layout_for(&stream_sizes));
+        layouts.push(layout_for(stream_sizes));
     }
 
     // Phase 1: scatter megastream segments (segment j of u → (j + u) % n;
@@ -508,19 +249,6 @@ mod tests {
         Session::new(Engine::new(n))
     }
 
-    fn normalise(d: Vec<Delivered>) -> Vec<Vec<(usize, Vec<bool>)>> {
-        d.into_iter()
-            .map(|list| {
-                let mut v: Vec<(usize, Vec<bool>)> = list
-                    .into_iter()
-                    .map(|(s, p)| (s.index(), p.iter().collect()))
-                    .collect();
-                v.sort();
-                v
-            })
-            .collect()
-    }
-
     fn random_demands(n: usize, seed: u64, max_len: usize) -> DemandMatrix {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let mut demands: DemandMatrix = vec![Vec::new(); n];
@@ -543,7 +271,7 @@ mod tests {
             let framed = route(&mut s1, random_demands(n, seed, 30)).unwrap();
             let mut s2 = session(n);
             let sized = route_sized(&mut s2, random_demands(n, seed, 30)).unwrap();
-            assert_eq!(normalise(framed), normalise(sized), "seed {seed}");
+            assert_eq!(framed, sized, "seed {seed}");
             assert!(
                 s2.stats().bits <= s1.stats().bits,
                 "seed {seed}: sized shipped more bits than framed"
@@ -593,8 +321,8 @@ mod tests {
                 let mut s2 = session(n);
                 let sized = route_balanced_sized(&mut s2, random_demands(n, seed, 50)).unwrap();
                 // Framed balanced parses empty payloads out of headers too,
-                // so deliveries agree exactly.
-                assert_eq!(normalise(framed), normalise(sized), "n={n} seed {seed}");
+                // so deliveries agree exactly, order included.
+                assert_eq!(framed, sized, "n={n} seed {seed}");
                 assert!(s2.stats().bits <= s1.stats().bits, "n={n} seed {seed}");
             }
         }
@@ -669,18 +397,20 @@ mod tests {
             let sizes = demand_sizes(&demands);
 
             // Deliveries match the framed direct route (the semantics
-            // oracle), modulo empty payloads being free either way.
+            // oracle) exactly, order included; empty payloads arrive
+            // either way.
             let mut s1 = session(n);
             let framed = route(&mut s1, demands.clone()).unwrap();
             let mut s2 = session(n);
             let sized = route_sized(&mut s2, demands.clone()).unwrap();
-            prop_assert_eq!(normalise(framed), normalise(sized));
+            prop_assert_eq!(&framed, &sized);
 
             // Both cost twins are exact.
             let direct = route_sized_cost(n, s2.bandwidth(), &sizes);
             prop_assert_eq!(direct, s2.stats());
             let mut s3 = session(n);
-            route_balanced_sized(&mut s3, demands).unwrap();
+            let balanced_sized = route_balanced_sized(&mut s3, demands).unwrap();
+            prop_assert_eq!(&framed, &balanced_sized);
             let balanced = route_balanced_sized_cost(n, s3.bandwidth(), &sizes);
             prop_assert_eq!(balanced, s3.stats());
         }
