@@ -12,6 +12,13 @@
 //! * [`mm_naive_broadcast`] — the folklore `O(n)`-round baseline: everyone
 //!   broadcasts their rows, everyone multiplies locally.
 //!
+//! The 3D schedule is written once. [`crate::mm_sparse`] runs the same
+//! schedule; only the block-row format differs. That format is data:
+//! `Chunks::Dense` ships every entry of a band over `route_balanced`, while
+//! `Chunks::Sparse` ships only the nonzero `(column, value)` pairs, with
+//! sizes fixed by the gossiped counts, over the header-free
+//! `route_balanced_sized`. `Chunks` is the only code that branches on it.
+//!
 //! Input/output convention (distributed fidelity): node `v` holds row `v`
 //! of each input matrix and ends with row `v` of the product.
 //!
@@ -22,9 +29,10 @@
 
 use cliquesim::{BitString, NodeId, Session};
 
-use cc_routing::{route_balanced, RouteError};
+use cc_routing::{route_balanced, route_balanced_sized, Delivered, RouteError};
 
-use crate::semiring::{Matrix, Semiring};
+use crate::semiring::Semiring;
+use crate::sparse::NnzCounts;
 
 /// Errors from the distributed multipliers.
 #[derive(Debug)]
@@ -172,8 +180,117 @@ pub fn mm_three_d<S: Semiring>(
     a_rows: &[Vec<S::Elem>],
     b_rows: &[Vec<S::Elem>],
 ) -> Result<Vec<Vec<S::Elem>>, MatmulError> {
+    check_shapes(session.n(), a_rows, b_rows)?;
+    three_d(session, sr, Chunks::Dense, a_rows, b_rows)
+}
+
+/// Which input matrix a block row belongs to.
+#[derive(Clone, Copy, Debug)]
+enum Side {
+    A,
+    B,
+}
+
+/// How the 3D schedule ships a block row (one input row restricted to one
+/// band), and over which balanced router. The only code that branches on
+/// the format.
+pub(crate) enum Chunks<'a> {
+    /// Every entry of the band, values only, over [`route_balanced`].
+    Dense,
+    /// Only the nonzero `(⌈log₂ band⌉-bit column, value)` pairs, over the
+    /// header-free [`route_balanced_sized`]: the gossiped `counts` fix
+    /// every payload size in advance.
+    Sparse {
+        /// The agreed per-row, per-band nonzero counts.
+        counts: &'a NnzCounts,
+    },
+}
+
+impl Chunks<'_> {
+    /// The `(band-local column, value)` entries of `row` within `band` that
+    /// this format carries: all of them, or the nonzeros.
+    fn entries<'r, S: Semiring>(
+        &self,
+        sr: &S,
+        row: &'r [S::Elem],
+        band: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = (usize, S::Elem)> + 'r {
+        let sparse = matches!(self, Chunks::Sparse { .. });
+        let (zero, start) = (sr.zero(), band.start);
+        band.map(move |c| (c - start, row[c]))
+            .filter(move |&(_, v)| !sparse || v != zero)
+    }
+
+    fn encode<S: Semiring>(
+        &self,
+        sr: &S,
+        bl: &Blocking,
+        row: &[S::Elem],
+        band: usize,
+    ) -> BitString {
+        let lw = BitString::width_for(bl.band_size);
+        let mut out = BitString::new();
+        for (c, v) in self.entries(sr, row, bl.members(band)) {
+            if let Chunks::Sparse { .. } = self {
+                out.push_uint(c as u64, lw);
+            }
+            sr.encode(v, &mut out);
+        }
+        out
+    }
+
+    /// Decode the block row `sender` shipped for `band` of input `side`.
+    fn decode<S: Semiring>(
+        &self,
+        sr: &S,
+        bl: &Blocking,
+        bits: &BitString,
+        side: Side,
+        sender: usize,
+        band: usize,
+    ) -> Result<Vec<(usize, S::Elem)>, MatmulError> {
+        let lw = BitString::width_for(bl.band_size);
+        let count = match (self, side) {
+            (Chunks::Dense, _) => bl.members(band).len(),
+            (Chunks::Sparse { counts }, Side::A) => counts.a[sender][band],
+            (Chunks::Sparse { counts }, Side::B) => counts.b[sender][band],
+        };
+        let mut r = bits.reader();
+        let mut out = Vec::with_capacity(count);
+        for l in 0..count {
+            let c = match self {
+                Chunks::Dense => l,
+                Chunks::Sparse { .. } => r.read_uint(lw)? as usize,
+            };
+            out.push((c, sr.decode(&mut r)?));
+        }
+        r.expect_end()?;
+        Ok(out)
+    }
+
+    fn route(
+        &self,
+        session: &mut Session,
+        demands: Vec<Vec<(NodeId, BitString)>>,
+    ) -> Result<Vec<Delivered>, RouteError> {
+        match self {
+            Chunks::Dense => route_balanced(session, demands),
+            Chunks::Sparse { .. } => route_balanced_sized(session, demands),
+        }
+    }
+}
+
+/// The 3D schedule shared by [`mm_three_d`] and [`crate::mm_sparse`]
+/// (shapes already checked): block rows to workers in `chunks` format,
+/// local block products, dense partial rows back to the row owners.
+pub(crate) fn three_d<S: Semiring>(
+    session: &mut Session,
+    sr: &S,
+    chunks: Chunks<'_>,
+    a_rows: &[Vec<S::Elem>],
+    b_rows: &[Vec<S::Elem>],
+) -> Result<Vec<Vec<S::Elem>>, MatmulError> {
     let n = session.n();
-    check_shapes(n, a_rows, b_rows)?;
     let bl = Blocking::for_n(n);
     let t = bl.t;
 
@@ -184,107 +301,77 @@ pub fn mm_three_d<S: Semiring>(
     //     A[u, band k];
     //   - needs B[band k rows, band j cols]: row-holders u ∈ band k send
     //     B[u, band j].
-    // Payload order (A first, then B) disambiguates the i == k case.
+    // Payload order (A first, then B) disambiguates the i == k case. A
+    // worker reads its own rows locally instead of sending to itself.
     let mut demands: Vec<Vec<(NodeId, BitString)>> = vec![Vec::new(); n];
     for u in 0..n {
         let bu = bl.band(u);
         for j in 0..t {
             for k in 0..t {
-                // A-chunk to worker (bu, j, k).
                 let w = bl.worker(bu, j, k);
-                let payload = encode_entries(sr, bl.members(k).map(|c| a_rows[u][c]));
-                if w == u {
-                    // Local hand-off handled below by reading own rows.
-                } else {
-                    demands[u].push((NodeId::from(w), payload));
+                if w != u {
+                    demands[u].push((NodeId::from(w), chunks.encode(sr, &bl, &a_rows[u], k)));
                 }
             }
         }
         for i in 0..t {
             for j in 0..t {
-                // B-chunk to worker (i, j, bu).
                 let w = bl.worker(i, j, bu);
-                let payload = encode_entries(sr, bl.members(j).map(|c| b_rows[u][c]));
-                if w == u {
-                    // Local hand-off.
-                } else {
-                    demands[u].push((NodeId::from(w), payload));
+                if w != u {
+                    demands[u].push((NodeId::from(w), chunks.encode(sr, &bl, &b_rows[u], j)));
                 }
             }
         }
     }
-    let delivered = route_balanced(session, demands)?;
+    let delivered = chunks.route(session, demands)?;
 
-    // Each worker assembles its two blocks.
-    // a_block[r - band_start][c_idx], rows ordered by sender id.
-    let mut products: Vec<Option<Matrix<S::Elem>>> = vec![None; n];
-    let mut row_ranges: Vec<(usize, usize, usize)> = Vec::new(); // (worker, i, j)
+    // Each worker assembles its two blocks, multiplies them and ships row
+    // ri of the product (band i × band j) to its owner, the ri-th member
+    // of band i.
+    let mut demands2: Vec<Vec<(NodeId, BitString)>> = vec![Vec::new(); n];
+    let mut local_partials: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); n]; // (worker, bits)
     for w in 0..n {
         let Some((i, j, k)) = bl.triple(w) else {
             continue;
         };
-        let rows_i: Vec<usize> = bl.members(i).collect();
-        let rows_k: Vec<usize> = bl.members(k).collect();
-        let cols_k = rows_k.len();
-        let cols_j = bl.members(j).len();
-
-        // Collect payloads per sender in arrival order.
+        // Payloads per sender in arrival order: A before B, so the A row
+        // is the first payload and the B row the last.
         let mut from: Vec<Vec<&BitString>> = vec![Vec::new(); n];
         for (src, payload) in &delivered[w] {
             from[src.index()].push(payload);
         }
+        // Block of `side` with rows from band `rows` and columns from band
+        // `cols`, one `(local column, value)` list per row.
+        let block = |side: Side, rows: usize, cols: usize| {
+            bl.members(rows)
+                .map(|u| {
+                    let (input, payload) = match side {
+                        Side::A => (a_rows, from[u].first()),
+                        Side::B => (b_rows, from[u].last()),
+                    };
+                    if u == w {
+                        return Ok(chunks.entries(sr, &input[u], bl.members(cols)).collect());
+                    }
+                    let bits = payload.ok_or_else(|| {
+                        MatmulError::Shape(format!("worker {w} missing {side:?} row {u}"))
+                    })?;
+                    chunks.decode(sr, &bl, bits, side, u, cols)
+                })
+                .collect::<Result<Vec<Vec<(usize, S::Elem)>>, MatmulError>>()
+        };
+        let a_block = block(Side::A, i, k)?;
+        let b_block = block(Side::B, k, j)?;
 
-        // A block: one payload from each u ∈ band i (A sent before B, so
-        // it is the first payload when both were sent).
-        let mut a_block: Vec<Vec<S::Elem>> = Vec::with_capacity(rows_i.len());
-        for &u in &rows_i {
-            let row = if u == w {
-                bl.members(k).map(|c| a_rows[u][c]).collect()
-            } else {
-                let payload = from[u]
-                    .first()
-                    .ok_or_else(|| MatmulError::Shape(format!("worker {w} missing A row {u}")))?;
-                decode_entries(sr, payload, cols_k)?
-            };
-            a_block.push(row);
-        }
-        // B block: one payload from each u ∈ band k (the last payload).
-        let mut b_block: Vec<Vec<S::Elem>> = Vec::with_capacity(rows_k.len());
-        for &u in &rows_k {
-            let row = if u == w {
-                bl.members(j).map(|c| b_rows[u][c]).collect()
-            } else {
-                let payload = from[u]
-                    .last()
-                    .ok_or_else(|| MatmulError::Shape(format!("worker {w} missing B row {u}")))?;
-                decode_entries(sr, payload, cols_j)?
-            };
-            b_block.push(row);
-        }
-
-        // Local block product P = A_ik · B_kj.
-        let mut p = Matrix::filled(rows_i.len().max(cols_j), sr.zero());
-        for (ri, _) in rows_i.iter().enumerate() {
-            for cj in 0..cols_j {
-                let mut acc = sr.zero();
-                for l in 0..cols_k {
-                    acc = sr.add(acc, sr.mul(a_block[ri][l], b_block[l][cj]));
+        // Sparse-accumulate P = A_ik · B_kj row by row: each cell adds its
+        // terms in increasing l, exactly as the dense triple loop would.
+        for (a_row, r) in a_block.iter().zip(bl.members(i)) {
+            let mut p = vec![sr.zero(); bl.members(j).len()];
+            for &(l, va) in a_row {
+                for &(c, vb) in &b_block[l] {
+                    p[c] = sr.add(p[c], sr.mul(va, vb));
                 }
-                p.set(ri, cj, acc);
             }
-        }
-        products[w] = Some(p);
-        row_ranges.push((w, i, j));
-    }
-
-    // -------------- Phase 2: ship partial rows to row owners -------------
-    let mut demands2: Vec<Vec<(NodeId, BitString)>> = vec![Vec::new(); n];
-    let mut local_partials: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); n]; // (worker, bits)
-    for &(w, i, j) in &row_ranges {
-        let p = products[w].as_ref().expect("worker has product");
-        let cols_j = bl.members(j).len();
-        for (ri, r) in bl.members(i).enumerate() {
-            let payload = encode_entries(sr, (0..cols_j).map(|c| p.get(ri, c)));
+            let payload = encode_entries(sr, p);
             if r == w {
                 local_partials[r].push((w, payload));
             } else {
@@ -292,7 +379,11 @@ pub fn mm_three_d<S: Semiring>(
             }
         }
     }
-    let delivered2 = route_balanced(session, demands2)?;
+
+    // -------------- Phase 2: ship partial rows to row owners -------------
+    // Partial sizes are functions of n alone, so the sized router needs no
+    // second gossip.
+    let delivered2 = chunks.route(session, demands2)?;
 
     // Row owners sum partials.
     let mut c_rows: Vec<Vec<S::Elem>> = Vec::with_capacity(n);
@@ -366,8 +457,10 @@ pub fn mm_naive_broadcast<S: Semiring>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semiring::{mm_local, BoolSemiring, RingI64, TropicalSemiring, TROPICAL_INF};
-    use cliquesim::Engine;
+    use crate::semiring::{
+        mm_local, BoolSemiring, Matrix, RingI64, TropicalSemiring, TROPICAL_INF,
+    };
+    use cliquesim::{Engine, RunStats};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
@@ -569,6 +662,53 @@ mod tests {
         let mut s = session(n);
         let got = mm_three_d(&mut s, &sr, &zero.to_rows(), &a.to_rows()).unwrap();
         assert_eq!(Matrix::from_rows(got), zero);
+    }
+
+    #[test]
+    fn dense_costs_are_pinned() {
+        // Exact wire cost of the dense 3D schedule, every `RunStats` field.
+        // The sparse format has an analytic twin (`mm_sparse_overhead`);
+        // this one is pinned, so any change to the worker plan, the
+        // block-row encoding or the payload order shows up here.
+        let pinned = |rounds, messages, bits, max_message_bits, peak_live_payload_bytes| RunStats {
+            rounds,
+            messages,
+            bits,
+            max_message_bits,
+            peak_live_payload_bytes,
+            ..RunStats::default()
+        };
+        let n = 64;
+        let sr = TropicalSemiring::with_width(12);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(64);
+        let mut entry = |_, _| {
+            if rng.gen_bool(0.3) {
+                TROPICAL_INF
+            } else {
+                rng.gen_range(0..1000)
+            }
+        };
+        let (a, b) = (
+            Matrix::from_fn(n, &mut entry),
+            Matrix::from_fn(n, &mut entry),
+        );
+        let mut s = session(n);
+        mm_three_d(&mut s, &sr, &a.to_rows(), &b.to_rows()).unwrap();
+        assert_eq!(s.stats(), pinned(187, 283_457, 1_663_051, 6, 6048));
+
+        // A perfect cube and a non-cube n (uneven last band, idle nodes).
+        let sr = RingI64::with_width(16);
+        for (n, expect) in [
+            (27, pinned(177, 60_457, 299_032, 5, 878)),
+            (50, pinned(262, 158_499, 936_446, 6, 3675)),
+        ] {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(n as u64);
+            let a = Matrix::from_fn(n, |_, _| rng.gen_range(-100..100));
+            let b = Matrix::from_fn(n, |_, _| rng.gen_range(-100..100));
+            let mut s = session(n);
+            mm_three_d(&mut s, &sr, &a.to_rows(), &b.to_rows()).unwrap();
+            assert_eq!(s.stats(), expect, "n={n}");
+        }
     }
 
     #[test]

@@ -8,13 +8,16 @@
 //!
 //! * [`semiring`] defines the carrier semirings and their bit-exact wire
 //!   encodings;
-//! * [`distributed`] implements the `O(n^{1/3})`-round 3D algorithm
-//!   ([`mm_three_d`]) and the `O(n)`-round broadcast baseline
-//!   ([`mm_naive_broadcast`]);
-//! * [`sparse`] implements the density-aware tier (Le Gall,
-//!   arXiv:1608.02674): nonzero-count gossip, header-free sparse triple
-//!   redistribution ([`mm_sparse`]), the [`MmStrategy`] selector, and the
-//!   exact analytic ledger [`mm_sparse_overhead`].
+//! * [`distributed`] holds the one `O(n^{1/3})`-round 3D schedule and the
+//!   `O(n)`-round broadcast baseline ([`mm_naive_broadcast`]). The schedule
+//!   ships block rows in one of two formats: every entry of the band
+//!   ([`mm_three_d`]) or only its nonzero `(column, value)` pairs
+//!   ([`mm_sparse`]). Everything else (the worker plan, the block
+//!   products, the partial-row return and the row-owner sum) is shared;
+//! * [`sparse`] holds the density-aware tier (Le Gall, arXiv:1608.02674)
+//!   around that schedule: the nonzero-count gossip that fixes the sparse
+//!   payload sizes, the [`MmStrategy`] selector, and the exact analytic
+//!   ledger [`mm_sparse_overhead`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,20 +10,22 @@
 //!    [`cc_routing::all_to_all_sized`] collective). After the gossip every
 //!    payload size below is *global knowledge*, which is exactly the
 //!    legitimacy requirement of the header-free sized routing tier.
-//! 2. **Load-balanced redistribution of nonzero triples**: each row holder
-//!    ships, per 3D block, only its nonzero `(column, value)` pairs —
-//!    `⌈log₂ band⌉ + w` bits per triple instead of `band · w` bits per
-//!    block row — over the balanced megastream
-//!    ([`cc_routing::route_balanced_sized`]).
-//! 3. **Band-local combine**: workers multiply their sparse blocks locally,
-//!    combining all same-`(row, column)` contributions inside the block,
-//!    then ship dense partial rows (their sizes are functions of `n` alone,
-//!    so no second gossip is needed) to the row owners, which sum.
+//! 2. **The 3D schedule of [`crate::distributed`] in its sparse format**:
+//!    each row holder ships, per 3D block, only its nonzero `(column,
+//!    value)` pairs — `⌈log₂ band⌉ + w` bits per triple instead of
+//!    `band · w` bits per block row — over the balanced megastream
+//!    ([`cc_routing::route_balanced_sized`]). Workers multiply their
+//!    blocks locally, then ship dense partial rows (their sizes are
+//!    functions of `n` alone, so no second gossip is needed) to the row
+//!    owners, which sum. The worker plan, block products and partial-row
+//!    return are shared with [`crate::mm_three_d`]; only the block-row
+//!    format differs.
 //!
 //! Outputs are **bit-identical** to [`crate::mm_three_d`] and the serial
 //! oracle: every workspace semiring has commutative, associative addition
-//! with a true additive identity, so skipping zero terms and reordering
-//! sums cannot change any output value.
+//! with a true additive identity, so skipping zero terms cannot change any
+//! output value (each output cell adds its remaining terms in the same
+//! order as the dense format).
 //!
 //! [`mm_sparse_overhead`] is the exact analytic ledger — the full
 //! [`RunStats`] of a sparse run computed from the inputs without
@@ -32,16 +34,12 @@
 //! `DeliveryMode` precedent, with the crossover pinned at
 //! `max(nnz A, nnz B) ≤ n·⌊√n⌋` (the `m ≤ n^{3/2}` regime of the paper).
 
-use cliquesim::{BitString, NodeId, RunStats, Session};
+use cliquesim::{BitString, RunStats, Session};
 
-use cc_routing::{
-    all_to_all_sized, all_to_all_sized_cost, route_balanced_sized, route_balanced_sized_cost,
-    DemandSizes,
-};
+use cc_routing::{all_to_all_sized, all_to_all_sized_cost, route_balanced_sized_cost, DemandSizes};
 
 use crate::distributed::{
-    check_shapes, decode_entries, encode_entries, mm_naive_broadcast, mm_three_d, Blocking,
-    MatmulError,
+    check_shapes, mm_naive_broadcast, mm_three_d, three_d, Blocking, Chunks, MatmulError,
 };
 use crate::semiring::Semiring;
 
@@ -75,7 +73,7 @@ impl MmStrategy {
     /// The Auto crossover: sparse wins while `nnz ≤ n·⌊√n⌋` (the paper's
     /// `m ≤ n^{3/2}` regime, integer-exact so tests can pin both sides).
     pub fn sparse_threshold(n: usize) -> usize {
-        n * isqrt(n)
+        n * n.isqrt()
     }
 
     /// Resolve `Auto` against agreed nonzero totals; concrete strategies
@@ -94,21 +92,6 @@ impl MmStrategy {
     }
 }
 
-/// Integer square root: the largest `r` with `r·r ≤ n`.
-fn isqrt(n: usize) -> usize {
-    if n < 2 {
-        return n;
-    }
-    let mut r = (n as f64).sqrt() as usize;
-    while r * r > n {
-        r -= 1;
-    }
-    while (r + 1) * (r + 1) <= n {
-        r += 1;
-    }
-    r
-}
-
 /// Outcome of a strategy-dispatched multiplication.
 #[derive(Clone, Debug)]
 pub struct MmRun<E> {
@@ -120,9 +103,9 @@ pub struct MmRun<E> {
 
 /// Per-row, per-band nonzero counts of both inputs, as agreed by the
 /// gossip round: `a[u][k]` counts nonzeros of `A[u, band k]`.
-struct NnzCounts {
-    a: Vec<Vec<usize>>,
-    b: Vec<Vec<usize>>,
+pub(crate) struct NnzCounts {
+    pub(crate) a: Vec<Vec<usize>>,
+    pub(crate) b: Vec<Vec<usize>>,
 }
 
 impl NnzCounts {
@@ -204,47 +187,8 @@ fn gossip_counts<S: Semiring>(
     Ok(NnzCounts { a, b })
 }
 
-/// Encode the nonzeros of `row` restricted to band `band` as
-/// `(band-local column index, value)` pairs — the "nonzero triples" of the
-/// redistribution (the row index is implicit in the sender).
-fn encode_sparse_chunk<S: Semiring>(
-    sr: &S,
-    lw: usize,
-    band: std::ops::Range<usize>,
-    row: &[S::Elem],
-) -> BitString {
-    let zero = sr.zero();
-    let start = band.start;
-    let mut out = BitString::new();
-    for c in band {
-        if row[c] != zero {
-            out.push_uint((c - start) as u64, lw);
-            sr.encode(row[c], &mut out);
-        }
-    }
-    out
-}
-
-/// Decode a sparse chunk of `count` `(local column, value)` pairs.
-fn decode_sparse_chunk<S: Semiring>(
-    sr: &S,
-    lw: usize,
-    count: usize,
-    bits: &BitString,
-) -> Result<Vec<(usize, S::Elem)>, MatmulError> {
-    let mut r = bits.reader();
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let c = r.read_uint(lw).map_err(MatmulError::Decode)? as usize;
-        let v = sr.decode(&mut r)?;
-        out.push((c, v));
-    }
-    r.expect_end().map_err(MatmulError::Decode)?;
-    Ok(out)
-}
-
-/// Sparse semiring multiplication: gossip, sparse redistribution,
-/// band-local combine. Same input/output convention as
+/// Sparse semiring multiplication: gossip, then the 3D schedule shipping
+/// only nonzero `(column, value)` pairs. Same input/output convention as
 /// [`crate::mm_three_d`]; outputs are bit-identical to it. Strictly
 /// cheaper in rounds on sparse instances (`m ≲ n^{3/2}`); on dense inputs
 /// the dense path wins — that trade is what [`MmStrategy::Auto`] arbitrates.
@@ -254,183 +198,15 @@ pub fn mm_sparse<S: Semiring>(
     a_rows: &[Vec<S::Elem>],
     b_rows: &[Vec<S::Elem>],
 ) -> Result<Vec<Vec<S::Elem>>, MatmulError> {
-    let n = session.n();
-    check_shapes(n, a_rows, b_rows)?;
-    let bl = Blocking::for_n(n);
-    let counts = gossip_counts(session, sr, &bl, a_rows, b_rows)?;
-    mm_sparse_with_counts(session, sr, &bl, &counts, a_rows, b_rows)
-}
-
-/// The sparse path after the gossip (shared by [`mm_sparse`] and the
-/// `Auto` dispatcher, which has already paid for the count agreement).
-fn mm_sparse_with_counts<S: Semiring>(
-    session: &mut Session,
-    sr: &S,
-    bl: &Blocking,
-    counts: &NnzCounts,
-    a_rows: &[Vec<S::Elem>],
-    b_rows: &[Vec<S::Elem>],
-) -> Result<Vec<Vec<S::Elem>>, MatmulError> {
-    let n = session.n();
-    let t = bl.t;
-    let lw = BitString::width_for(bl.band_size);
-
-    // ---- Phase 1: redistribute nonzero triples (sized balanced) ----------
-    // Same worker schedule as the dense path, but payloads carry only
-    // nonzero (local column, value) pairs; sizes are fixed by the gossiped
-    // counts, so every node can split the header-free streams. Payload
-    // order per (sender, worker) pair is A first, then B, as in the dense
-    // path (the i == k case is the only one where both reach one worker).
-    let mut demands: Vec<Vec<(NodeId, BitString)>> = vec![Vec::new(); n];
-    for u in 0..n {
-        let bu = bl.band(u);
-        for j in 0..t {
-            for k in 0..t {
-                let w = bl.worker(bu, j, k);
-                if w == u {
-                    continue; // local hand-off: worker reads its own rows
-                }
-                demands[u].push((
-                    NodeId::from(w),
-                    encode_sparse_chunk(sr, lw, bl.members(k), &a_rows[u]),
-                ));
-            }
-        }
-        for i in 0..t {
-            for j in 0..t {
-                let w = bl.worker(i, j, bu);
-                if w == u {
-                    continue;
-                }
-                demands[u].push((
-                    NodeId::from(w),
-                    encode_sparse_chunk(sr, lw, bl.members(j), &b_rows[u]),
-                ));
-            }
-        }
-    }
-    let delivered = route_balanced_sized(session, demands)?;
-
-    // ---- Local band-local combine ----------------------------------------
-    // Worker (i, j, k) multiplies sparse A_ik against sparse B_kj into a
-    // dense (band i × band j) block, combining every same-cell
-    // contribution locally before anything is shipped.
-    let mut products: Vec<Option<Vec<Vec<S::Elem>>>> = vec![None; n];
-    for w in 0..n {
-        let Some((i, j, k)) = bl.triple(w) else {
-            continue;
-        };
-        let rows_i: Vec<usize> = bl.members(i).collect();
-        let rows_k: Vec<usize> = bl.members(k).collect();
-        let cols_j = bl.members(j).len();
-
-        let mut from: Vec<Vec<&BitString>> = vec![Vec::new(); n];
-        for (src, payload) in &delivered[w] {
-            from[src.index()].push(payload);
-        }
-
-        // Sparse A rows, indexed by position within band i.
-        let mut a_sparse: Vec<Vec<(usize, S::Elem)>> = Vec::with_capacity(rows_i.len());
-        for &u in &rows_i {
-            let entries = if u == w {
-                let start = bl.members(k).start;
-                let zero = sr.zero();
-                bl.members(k)
-                    .filter(|&c| a_rows[u][c] != zero)
-                    .map(|c| (c - start, a_rows[u][c]))
-                    .collect()
-            } else {
-                let payload = from[u]
-                    .first()
-                    .ok_or_else(|| MatmulError::Shape(format!("worker {w} missing A chunk {u}")))?;
-                decode_sparse_chunk(sr, lw, counts.a[u][k], payload)?
-            };
-            a_sparse.push(entries);
-        }
-        // Sparse B rows, indexed by position within band k (the payload is
-        // the last of the ≤ 2 this sender shipped here; A came first).
-        let mut b_sparse: Vec<Vec<(usize, S::Elem)>> = Vec::with_capacity(rows_k.len());
-        for &u in &rows_k {
-            let entries = if u == w {
-                let start = bl.members(j).start;
-                let zero = sr.zero();
-                bl.members(j)
-                    .filter(|&c| b_rows[u][c] != zero)
-                    .map(|c| (c - start, b_rows[u][c]))
-                    .collect()
-            } else {
-                let payload = from[u]
-                    .last()
-                    .ok_or_else(|| MatmulError::Shape(format!("worker {w} missing B chunk {u}")))?;
-                decode_sparse_chunk(sr, lw, counts.b[u][j], payload)?
-            };
-            b_sparse.push(entries);
-        }
-
-        let mut p: Vec<Vec<S::Elem>> = vec![vec![sr.zero(); cols_j]; rows_i.len()];
-        for (ri, a_row) in a_sparse.iter().enumerate() {
-            for &(l, va) in a_row {
-                for &(c, vb) in &b_sparse[l] {
-                    p[ri][c] = sr.add(p[ri][c], sr.mul(va, vb));
-                }
-            }
-        }
-        products[w] = Some(p);
-    }
-
-    // ---- Phase 2: ship dense partial rows to row owners (sized) ----------
-    // Partial sizes are pure functions of n (cols_j · entry bits), so the
-    // sized schedule stays legitimate without gossiping product structure.
-    let mut demands2: Vec<Vec<(NodeId, BitString)>> = vec![Vec::new(); n];
-    let mut local_partials: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); n];
-    for w in 0..n {
-        let Some((i, j, _)) = bl.triple(w) else {
-            continue;
-        };
-        let p = products[w].as_ref().expect("worker has product");
-        let cols_j = bl.members(j).len();
-        for (ri, r) in bl.members(i).enumerate() {
-            let payload = encode_entries(sr, (0..cols_j).map(|c| p[ri][c]));
-            if r == w {
-                local_partials[r].push((w, payload));
-            } else {
-                demands2[w].push((NodeId::from(r), payload));
-            }
-        }
-    }
-    let delivered2 = route_balanced_sized(session, demands2)?;
-
-    // Row owners sum partials (identical to the dense path).
-    let mut c_rows: Vec<Vec<S::Elem>> = Vec::with_capacity(n);
-    for r in 0..n {
-        let mut row = vec![sr.zero(); n];
-        let mut apply = |worker: usize, payload: &BitString| -> Result<(), MatmulError> {
-            let (_, j, _) = bl
-                .triple(worker)
-                .ok_or_else(|| MatmulError::Shape(format!("non-worker {worker} sent a partial")))?;
-            let cols: Vec<usize> = bl.members(j).collect();
-            let vals = decode_entries(sr, payload, cols.len())?;
-            for (c, v) in cols.into_iter().zip(vals) {
-                row[c] = sr.add(row[c], v);
-            }
-            Ok(())
-        };
-        for (src, payload) in &delivered2[r] {
-            apply(src.index(), payload)?;
-        }
-        for (w, payload) in &local_partials[r] {
-            apply(*w, payload)?;
-        }
-        c_rows.push(row);
-    }
-    Ok(c_rows)
+    Ok(mm_with_strategy(session, sr, MmStrategy::Sparse, a_rows, b_rows)?.rows)
 }
 
 /// Strategy-dispatched multiplication: the single entry point consumers
 /// (triangle detection, distance products) call.
 ///
-/// `Auto` runs the count gossip first (in-model agreement on the nonzero
-/// totals), then branches; its cost is the gossip plus the chosen path.
+/// `Sparse` and `Auto` run the count gossip first (in-model agreement on
+/// the nonzero totals); `Auto` then resolves on them. Either way the cost
+/// is the gossip plus the chosen format of the 3D schedule.
 pub fn mm_with_strategy<S: Semiring>(
     session: &mut Session,
     sr: &S,
@@ -438,34 +214,22 @@ pub fn mm_with_strategy<S: Semiring>(
     a_rows: &[Vec<S::Elem>],
     b_rows: &[Vec<S::Elem>],
 ) -> Result<MmRun<S::Elem>, MatmulError> {
-    let n = session.n();
-    match strategy {
-        MmStrategy::Dense3D => Ok(MmRun {
-            rows: mm_three_d(session, sr, a_rows, b_rows)?,
-            resolved: MmStrategy::Dense3D,
-        }),
-        MmStrategy::NaiveBroadcast => Ok(MmRun {
-            rows: mm_naive_broadcast(session, sr, a_rows, b_rows)?,
-            resolved: MmStrategy::NaiveBroadcast,
-        }),
-        MmStrategy::Sparse => Ok(MmRun {
-            rows: mm_sparse(session, sr, a_rows, b_rows)?,
-            resolved: MmStrategy::Sparse,
-        }),
-        MmStrategy::Auto => {
+    let (rows, resolved) = match strategy {
+        MmStrategy::Dense3D => (mm_three_d(session, sr, a_rows, b_rows)?, strategy),
+        MmStrategy::NaiveBroadcast => (mm_naive_broadcast(session, sr, a_rows, b_rows)?, strategy),
+        MmStrategy::Sparse | MmStrategy::Auto => {
+            let n = session.n();
             check_shapes(n, a_rows, b_rows)?;
-            let bl = Blocking::for_n(n);
-            let counts = gossip_counts(session, sr, &bl, a_rows, b_rows)?;
+            let counts = gossip_counts(session, sr, &Blocking::for_n(n), a_rows, b_rows)?;
             let resolved = strategy.resolve(n, counts.total_a(), counts.total_b());
-            let rows = match resolved {
-                MmStrategy::Sparse => {
-                    mm_sparse_with_counts(session, sr, &bl, &counts, a_rows, b_rows)?
-                }
-                _ => mm_three_d(session, sr, a_rows, b_rows)?,
+            let chunks = match resolved {
+                MmStrategy::Sparse => Chunks::Sparse { counts: &counts },
+                _ => Chunks::Dense,
             };
-            Ok(MmRun { rows, resolved })
+            (three_d(session, sr, chunks, a_rows, b_rows)?, resolved)
         }
-    }
+    };
+    Ok(MmRun { rows, resolved })
 }
 
 /// The exact analytic ledger of [`mm_sparse`]: the [`RunStats`] a session
@@ -720,13 +484,5 @@ mod tests {
         let mut s = session(n);
         let got = mm_sparse(&mut s, &sr, &single.to_rows(), &id.to_rows()).unwrap();
         assert_eq!(Matrix::from_rows(got), single);
-    }
-
-    #[test]
-    fn isqrt_is_exact() {
-        for n in 0..2000usize {
-            let r = isqrt(n);
-            assert!(r * r <= n && (r + 1) * (r + 1) > n, "n={n} r={r}");
-        }
     }
 }

@@ -156,7 +156,7 @@ pub fn bellman_ford(
                 let du = bits
                     .reader()
                     .read_uint(width)
-                    .expect("well-formed distance");
+                    .map_err(|e| RouteError::Malformed(NodeId::from(v), e))?;
                 let alt = dist_add(du, g.weight(u, v));
                 if alt < next[v] {
                     next[v] = alt;
@@ -175,7 +175,7 @@ pub fn bellman_ford(
 mod tests {
     use super::*;
     use cc_graph::{gen, reference};
-    use cliquesim::Engine;
+    use cliquesim::{Engine, FaultPlan};
 
     fn session(n: usize) -> Session {
         Session::new(Engine::new(n))
@@ -264,5 +264,18 @@ mod tests {
         let mut s = session(5);
         let got = bellman_ford(&mut s, &g, 2).unwrap();
         assert_eq!(got, vec![INF, INF, 0, INF, INF]);
+    }
+
+    #[test]
+    fn bellman_ford_reports_a_lost_distance_instead_of_panicking() {
+        // Every message dropped: each node's view of the others' distances
+        // is empty, so the first relaxation against an edge cannot decode.
+        let g = gen::gnp_weighted(6, 0.5, 25, 3);
+        let plan = FaultPlan::new(0).drop_messages(1.0);
+        let mut s = Session::new(Engine::new(6).with_fault_plan(plan));
+        assert!(matches!(
+            bellman_ford(&mut s, &g, 1),
+            Err(RouteError::Malformed(_, _))
+        ));
     }
 }

@@ -169,7 +169,9 @@ fn gen_matrix(family: MmFamily, n: usize, m: usize, seed: u64) -> Vec<Vec<i64>> 
             }
         }
         MmFamily::Banded => {
-            let half = isqrt_ceil(n).max(1);
+            // Half-width ⌈√n⌉.
+            let r = n.isqrt();
+            let half = (r + usize::from(r * r < n)).max(1);
             let mut placed = 0;
             let band_cells: usize = (0..n)
                 .map(|i| {
@@ -199,25 +201,13 @@ fn gen_matrix(family: MmFamily, n: usize, m: usize, seed: u64) -> Vec<Vec<i64>> 
     rows
 }
 
-/// `⌈√n⌉`.
-fn isqrt_ceil(n: usize) -> usize {
-    let mut r = (n as f64).sqrt() as usize;
-    while r * r < n {
-        r += 1;
-    }
-    while r > 0 && (r - 1) * (r - 1) >= n {
-        r -= 1;
-    }
-    r
-}
-
 /// The standard matmul corpus: for each `n` and `seed`, one case per
 /// family with the family's natural nonzero budget (`n·⌊√n⌋/2` for
 /// sparse and banded — safely inside the sparse regime).
 pub fn matmul_corpus(ns: &[usize], seeds: &[u64]) -> Vec<MmCase> {
     let mut out = Vec::new();
     for &n in ns {
-        let budget = (n * isqrt_floor(n) / 2).max(1);
+        let budget = (n * n.isqrt() / 2).max(1);
         for &seed in seeds {
             for family in MmFamily::ALL {
                 out.push(MmCase::new(family, n, budget, seed));
@@ -225,17 +215,6 @@ pub fn matmul_corpus(ns: &[usize], seeds: &[u64]) -> Vec<MmCase> {
         }
     }
     out
-}
-
-fn isqrt_floor(n: usize) -> usize {
-    let mut r = (n as f64).sqrt() as usize;
-    while r * r > n {
-        r -= 1;
-    }
-    while (r + 1) * (r + 1) <= n {
-        r += 1;
-    }
-    r
 }
 
 /// Run one matmul protocol for `case` under every delivery backend and
@@ -287,7 +266,8 @@ mod tests {
         assert_eq!(MmCase::nnz(&a), n * n);
         let (a, _) = MmCase::new(MmFamily::Banded, n, m, 3).pair();
         assert_eq!(MmCase::nnz(&a), m);
-        let half = isqrt_ceil(n);
+        let r = n.isqrt();
+        let half = r + usize::from(r * r < n);
         for (i, row) in a.iter().enumerate() {
             for (j, &v) in row.iter().enumerate() {
                 if v != 0 {
