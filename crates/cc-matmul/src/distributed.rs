@@ -357,7 +357,7 @@ pub(crate) fn three_d<S: Semiring>(
                     })?;
                     chunks.decode(sr, &bl, bits, side, u, cols)
                 })
-                .collect::<Result<Vec<Vec<(usize, S::Elem)>>, MatmulError>>()
+                .collect::<Result<Vec<_>, _>>()
         };
         let a_block = block(Side::A, i, k)?;
         let b_block = block(Side::B, k, j)?;
