@@ -23,7 +23,7 @@
 
 use cc_graph::WeightedGraph;
 use cc_routing::{all_to_all_broadcast, RouteError};
-use cliquesim::{BitString, Session};
+use cliquesim::{BitString, NodeId, Session};
 
 /// An MST edge `(u, v, weight)`.
 pub type MstEdge = (usize, usize, u64);
@@ -95,14 +95,18 @@ pub fn boruvka_mst(session: &mut Session, g: &WeightedGraph) -> Result<Vec<MstEd
 
         // Everyone decodes the same candidate set (views are identical;
         // `views[_][i]` is node i's proposal, so the proposing component
-        // is `component[i]`).
+        // is `component[i]`). Node 0's view stands for all; a candidate
+        // lost or damaged on the wire is reported against it as a typed
+        // error, never a panic.
+        let v = 0;
+        let malformed = |e| RouteError::Malformed(NodeId::from(v), e);
         let mut best_of: Vec<Option<MstEdge>> = vec![None; n];
-        for (i, bits) in views[0].iter().enumerate() {
+        for (i, bits) in views[v].iter().enumerate() {
             let mut r = bits.reader();
-            if r.read_bit().expect("well-formed candidate") {
-                let a = r.read_uint(idw).expect("u id") as usize;
-                let b = r.read_uint(idw).expect("v id") as usize;
-                let w = r.read_uint(ww).expect("weight");
+            if r.read_bit().map_err(malformed)? {
+                let a = r.read_uint(idw).map_err(malformed)? as usize;
+                let b = r.read_uint(idw).map_err(malformed)? as usize;
+                let w = r.read_uint(ww).map_err(malformed)?;
                 // Borůvka selects each component's *minimum* outgoing edge
                 // (a node's own candidate may be heavier than a fellow
                 // member's); the shared total order (w, a, b) breaks ties.
@@ -210,13 +214,26 @@ pub fn is_spanning_forest(g: &WeightedGraph, edges: &[MstEdge]) -> bool {
 mod tests {
     use super::*;
     use cc_graph::gen;
-    use cliquesim::Engine;
+    use cliquesim::{Engine, FaultPlan};
     use proptest::prelude::*;
 
     fn run(g: &WeightedGraph) -> (Vec<MstEdge>, usize) {
         let mut s = Session::new(Engine::new(g.n()).with_bandwidth_multiplier(12));
         let mst = boruvka_mst(&mut s, g).unwrap();
         (mst, s.stats().rounds)
+    }
+
+    #[test]
+    fn boruvka_reports_a_lost_candidate_instead_of_panicking() {
+        // Every message dropped: the decoding node's view of the
+        // candidates is empty, so the first candidate flag cannot decode.
+        let g = gen::gnp_weighted(6, 0.5, 25, 3);
+        let plan = FaultPlan::new(0).drop_messages(1.0);
+        let mut s = Session::new(Engine::new(6).with_fault_plan(plan));
+        assert!(matches!(
+            boruvka_mst(&mut s, &g),
+            Err(RouteError::Malformed(_, _))
+        ));
     }
 
     #[test]

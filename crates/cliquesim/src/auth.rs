@@ -69,7 +69,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::bits::BitString;
-use crate::delivery::BufViewMut;
+use crate::delivery::Row;
 use crate::fault::mix;
 use crate::node::NodeId;
 use crate::stats::RunStats;
@@ -171,14 +171,9 @@ impl AuthKeyring {
     /// backend's shared broadcast payload is signed once in place (equal
     /// payloads get equal tags, keeping dense and sparse bit-identical),
     /// while the ledger still charges one tag per delivered copy.
-    pub(crate) fn sign_round(
-        &self,
-        round: usize,
-        cur: &mut BufViewMut<'_>,
-        ledger: &mut AuthLedger,
-    ) {
-        for v in 0..cur.n() {
-            cur.for_each_payload_mut(v, |copies, m| {
+    pub(crate) fn sign_round(&self, round: usize, cur: &mut [Row], ledger: &mut AuthLedger) {
+        for (v, row) in cur.iter_mut().enumerate() {
+            row.for_each_payload_mut(|copies, m| {
                 let tag = self.sign(NodeId::from(v), round, m);
                 m.push_uint(tag, TAG_BITS);
                 ledger.signed += copies as u64;
@@ -191,15 +186,10 @@ impl AuthKeyring {
     /// `(sender, round)`, counting one rejection per cleared copy. Honest
     /// traffic signed by [`AuthKeyring::sign_round`] always passes; only
     /// forged-tag rewrites and post-signing wire damage are rejected.
-    pub(crate) fn verify_round(
-        &self,
-        round: usize,
-        cur: &mut BufViewMut<'_>,
-        ledger: &mut AuthLedger,
-    ) {
-        for v in 0..cur.n() {
+    pub(crate) fn verify_round(&self, round: usize, cur: &mut [Row], ledger: &mut AuthLedger) {
+        for (v, row) in cur.iter_mut().enumerate() {
             let from = NodeId::from(v);
-            cur.for_each_payload_mut(v, |copies, m| {
+            row.for_each_payload_mut(|copies, m| {
                 if !self.verify_frame(from, round, m) {
                     m.clear();
                     ledger.rejected += copies as u64;

@@ -51,7 +51,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::bits::BitString;
-use crate::delivery::{BufView, BufViewMut};
+use crate::delivery::Row;
 use crate::fault::mix;
 use crate::node::NodeId;
 use crate::stats::RunStats;
@@ -284,22 +284,22 @@ impl ByzantinePlan {
     /// buffer the nodes read this round, i.e. each traitor's received
     /// history for adaptive replays. Sweep order is sender-major and every
     /// decision is keyed per `(seed, round, from, to)`, so the result is
-    /// independent of pool shape and of delivery backend.
+    /// independent of pool shape and of delivery format.
     pub(crate) fn apply_rewrites(
         &self,
         round: usize,
-        cur: &mut BufViewMut<'_>,
-        prev: &BufView<'_>,
+        cur: &mut [Row],
+        prev: &[Row],
         report: &mut ByzantineReport,
     ) {
         if self.is_empty() {
             return;
         }
-        for v in 0..cur.n() {
+        for (v, row) in cur.iter_mut().enumerate() {
             if !self.is_traitor(NodeId::from(v)) {
                 continue;
             }
-            cur.for_each_msg_mut(v, |u, m| self.lie_one(round, v, u, m, prev, report));
+            row.for_each_msg_mut(v, |u, m| self.lie_one(round, v, u, m, prev, report));
         }
     }
 
@@ -314,18 +314,18 @@ impl ByzantinePlan {
     pub(crate) fn apply_tag_forgeries(
         &self,
         round: usize,
-        cur: &mut BufViewMut<'_>,
+        cur: &mut [Row],
         report: &mut ByzantineReport,
     ) {
         use crate::auth::TAG_BITS;
         if !self.has_tag_forgeries() {
             return;
         }
-        for v in 0..cur.n() {
+        for (v, row) in cur.iter_mut().enumerate() {
             if !self.is_traitor(NodeId::from(v)) {
                 continue;
             }
-            cur.for_each_msg_mut(v, |u, m| {
+            row.for_each_msg_mut(v, |u, m| {
                 if m.len() <= TAG_BITS {
                     return;
                 }
@@ -373,10 +373,9 @@ impl ByzantinePlan {
         from: usize,
         to: usize,
         m: &mut BitString,
-        prev: &BufView<'_>,
+        prev: &[Row],
         report: &mut ByzantineReport,
     ) {
-        let n = prev.n();
         let forced = self.forced_for(round, from, to);
         // The coin stream is keyed per message: same (seed, round, link) →
         // same draws, regardless of how many other messages exist.
@@ -399,8 +398,8 @@ impl ByzantinePlan {
         // degrades to a garble (still a lie, still deterministic).
         let mut replay_source = None;
         if lie == Lie::Replay {
-            let inbound: Vec<usize> = (0..n)
-                .filter(|w| *w != from && !prev.get(*w, from).is_empty())
+            let inbound: Vec<usize> = (0..prev.len())
+                .filter(|&w| !prev[w].get(w, from).is_empty())
                 .collect();
             match inbound.is_empty() {
                 true => lie = Lie::Garble,
@@ -440,7 +439,7 @@ impl ByzantinePlan {
                 // `replay_source` is always set on this path (see above);
                 // guard instead of unwrap to honour the no-panic lint.
                 let Some(src) = replay_source else { return };
-                let substitute = prev.get(src, from).clone();
+                let substitute = prev[src].get(src, from).clone();
                 let from_bits = m.len();
                 let to_bits = substitute.len();
                 *m = substitute;
@@ -626,6 +625,23 @@ impl ByzantineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delivery::with_rows;
+
+    /// [`ByzantinePlan::apply_rewrites`] on flat sender-major matrices.
+    fn rewrite(
+        plan: &ByzantinePlan,
+        round: usize,
+        cur: &mut [BitString],
+        prev: &mut [BitString],
+        report: &mut ByzantineReport,
+    ) {
+        let n = prev.len().isqrt();
+        with_rows(cur, n, |cur| {
+            with_rows(prev, n, |prev| {
+                plan.apply_rewrites(round, cur, prev, report)
+            })
+        });
+    }
 
     fn full_matrix(n: usize, bits: usize) -> Vec<BitString> {
         let mut m = vec![BitString::new(); n * n];
@@ -683,15 +699,10 @@ mod tests {
         let n = 4;
         let plan = ByzantinePlan::new(5).traitor(NodeId(1)).garble(1.0);
         let mut cur = full_matrix(n, 8);
-        let prev = vec![BitString::new(); n * n];
+        let mut prev = vec![BitString::new(); n * n];
         let before = cur.clone();
         let mut report = ByzantineReport::default();
-        plan.apply_rewrites(
-            0,
-            &mut BufViewMut::dense(&mut cur, n),
-            &BufView::dense(&prev, n),
-            &mut report,
-        );
+        rewrite(&plan, 0, &mut cur, &mut prev, &mut report);
         for v in 0..n {
             for u in 0..n {
                 if u == v {
@@ -716,14 +727,9 @@ mod tests {
         let n = 8;
         let plan = ByzantinePlan::new(3).traitor(NodeId(0)).garble(1.0);
         let mut cur = full_matrix(n, 32);
-        let prev = vec![BitString::new(); n * n];
+        let mut prev = vec![BitString::new(); n * n];
         let mut report = ByzantineReport::default();
-        plan.apply_rewrites(
-            0,
-            &mut BufViewMut::dense(&mut cur, n),
-            &BufView::dense(&prev, n),
-            &mut report,
-        );
+        rewrite(&plan, 0, &mut cur, &mut prev, &mut report);
         let copies: Vec<&BitString> = (1..n).map(|u| &cur[u]).collect();
         let distinct = copies
             .iter()
@@ -741,21 +747,11 @@ mod tests {
             .silence(0.2);
         let mut a = full_matrix(n, 8);
         let mut b = full_matrix(n, 8);
-        let prev = full_matrix(n, 8);
+        let mut prev = full_matrix(n, 8);
         let mut ra = ByzantineReport::default();
         let mut rb = ByzantineReport::default();
-        plan.apply_rewrites(
-            3,
-            &mut BufViewMut::dense(&mut a, n),
-            &BufView::dense(&prev, n),
-            &mut ra,
-        );
-        plan.apply_rewrites(
-            3,
-            &mut BufViewMut::dense(&mut b, n),
-            &BufView::dense(&prev, n),
-            &mut rb,
-        );
+        rewrite(&plan, 3, &mut a, &mut prev, &mut ra);
+        rewrite(&plan, 3, &mut b, &mut prev, &mut rb);
         assert_eq!(a, b);
         assert_eq!(ra, rb);
         assert!(!ra.is_empty());
@@ -774,14 +770,9 @@ mod tests {
         cur[1] = BitString::from_bits([true, true, false]); // 0 → 1
         cur[2] = BitString::from_bits([true, true, true]); // 0 → 2
         cur[n] = BitString::from_bits([true, true, true]); // 1 → 0
-        let prev = vec![BitString::new(); n * n];
+        let mut prev = vec![BitString::new(); n * n];
         let mut report = ByzantineReport::default();
-        plan.apply_rewrites(
-            1,
-            &mut BufViewMut::dense(&mut cur, n),
-            &BufView::dense(&prev, n),
-            &mut report,
-        );
+        rewrite(&plan, 1, &mut cur, &mut prev, &mut report);
         assert_eq!(
             cur[1],
             BitString::from_bits([false, false, true]),
@@ -793,12 +784,7 @@ mod tests {
         let mut c2 = vec![BitString::new(); n * n];
         c2[1] = BitString::from_bits([true]);
         let mut r2 = ByzantineReport::default();
-        plan.apply_rewrites(
-            0,
-            &mut BufViewMut::dense(&mut c2, n),
-            &BufView::dense(&prev, n),
-            &mut r2,
-        );
+        rewrite(&plan, 0, &mut c2, &mut prev, &mut r2);
         assert!(r2.is_empty());
         assert_eq!(c2[1].len(), 1);
     }
@@ -816,12 +802,7 @@ mod tests {
         // The traitor received exactly one payload this round, from node 2.
         prev[2 * n] = BitString::from_bits([false, true, false, true]); // 2 → 0
         let mut report = ByzantineReport::default();
-        plan.apply_rewrites(
-            2,
-            &mut BufViewMut::dense(&mut cur, n),
-            &BufView::dense(&prev, n),
-            &mut report,
-        );
+        rewrite(&plan, 2, &mut cur, &mut prev, &mut report);
         assert_eq!(
             cur[1],
             prev[2 * n],
@@ -842,14 +823,9 @@ mod tests {
         // With an empty inbound history the replay degrades to a garble.
         let mut c2 = vec![BitString::new(); n * n];
         c2[1] = BitString::from_bits([true, true]);
-        let empty = vec![BitString::new(); n * n];
+        let mut empty = vec![BitString::new(); n * n];
         let mut r2 = ByzantineReport::default();
-        plan.apply_rewrites(
-            2,
-            &mut BufViewMut::dense(&mut c2, n),
-            &BufView::dense(&empty, n),
-            &mut r2,
-        );
+        rewrite(&plan, 2, &mut c2, &mut empty, &mut r2);
         assert_eq!(c2[1].len(), 2, "garble fallback preserves length");
         assert!(matches!(r2.events[..], [ByzantineEvent::Garbled { .. }]));
     }

@@ -1,39 +1,37 @@
-//! Pluggable per-round message-delivery backends.
+//! Per-round message delivery: one sender row per node and round.
 //!
-//! The engine's delivery state is a pair of double-buffered sender-major
-//! buffers: nodes write round `r`'s sends into buffer `r % 2` and read round
-//! `r-1`'s sends from the other. Historically both buffers were dense
-//! `n × n` [`BitString`] matrices — quadratic memory even when the traffic
-//! is linear (broadcast-only runs, CONGEST rings, crash-heavy fault plans).
+//! The model gives every ordered pair of nodes one message slot per round,
+//! so a round's traffic is `n` sender rows. The engine double-buffers them:
+//! nodes write round `r`'s sends into buffer `r % 2` and read round `r-1`'s
+//! from the other, so delivery is a buffer swap, never a transpose.
 //!
-//! This module abstracts the buffer behind the crate-internal `DeliveryBuf`
-//! trait and
-//! provides two implementations the engine picks between per run (see
-//! [`DeliveryMode`]):
+//! A `Row` is one sender's messages for one round, in one of two formats
+//! the engine picks per run (see [`DeliveryMode`]):
 //!
-//! * `DenseBuf` — the original flat `n × n` matrix. Best when most ordered
-//!   pairs exchange a message most rounds (all-to-all routing).
-//! * `SparseBuf` — one compacted edge list per sender (a `SparseRow`):
-//!   a shared broadcast payload plus sorted `(recipient, payload)` override
-//!   entries. A broadcast round stores **one** payload per sender instead of
-//!   `n - 1` clones, and a ring round stores two entries per sender, so the
-//!   footprint is `O(edges)` rather than `O(n²)`.
+//! * dense — one slot per recipient. Best when most ordered pairs exchange
+//!   a message most rounds (all-to-all routing).
+//! * sparse — a `SparseRow`: a shared broadcast payload plus sorted
+//!   `(recipient, payload)` override entries. A broadcast round stores
+//!   **one** payload per sender instead of `n - 1` clones, and a ring round
+//!   stores two entries per sender, so the footprint is `O(edges)` rather
+//!   than `O(n²)`.
 //!
-//! Both backends produce bit-identical outputs, transcripts, reports, and
-//! [`crate::RunStats`] — cc-testkit's differential runners check every
-//! conformance family against all backends across pool shapes.
+//! The format is decided here and nowhere else: outboxes, inboxes, the
+//! engine's admission checks and bookkeeping, and the wire stages all go
+//! through `Row`'s methods. Both formats produce bit-identical outputs,
+//! transcripts, reports, and [`crate::RunStats`] — cc-testkit's
+//! differential runners check every conformance family against both
+//! across pool shapes.
 //!
 //! Buffers are checked out of a [`DeliveryArena`] at the start of a run and
 //! returned at the end, so repeated runs (a [`crate::Session`]'s phases)
 //! reuse the same allocations: steady-state rounds allocate nothing in
-//! either backend.
-
-use std::ops::Range;
+//! either format.
 
 use crate::bits::{BitString, EMPTY};
-use crate::node::{Inbox, Outbox};
+use crate::node::Outbox;
 
-/// Which delivery backend the engine uses for a run.
+/// Which delivery format the engine uses for a run.
 ///
 /// Attach with [`crate::Engine::with_delivery`]; the default is
 /// [`DeliveryMode::Auto`]. Whatever the choice, results are bit-identical —
@@ -47,7 +45,7 @@ pub enum DeliveryMode {
     /// [`DeliveryMode::Dense`].
     #[default]
     Auto,
-    /// Always use the dense `n × n` double-buffered matrices.
+    /// Always use dense rows: one slot per ordered pair.
     Dense,
     /// Always use the compacted per-sender edge lists.
     Sparse,
@@ -76,8 +74,8 @@ impl DeliveryMode {
 /// terms of logical messages, never retained capacity.
 #[derive(Debug, Default)]
 pub struct DeliveryArena {
-    dense: Option<[DenseBuf; 2]>,
-    sparse: Option<[SparseBuf; 2]>,
+    dense: Option<[Vec<Row>; 2]>,
+    sparse: Option<[Vec<Row>; 2]>,
 }
 
 impl DeliveryArena {
@@ -86,254 +84,183 @@ impl DeliveryArena {
         Self::default()
     }
 
-    /// Total number of retained message slots across both backends and both
+    /// Total number of retained message slots across both formats and both
     /// buffers of each pair — the delivery-buffer footprint in units of
     /// payload slots. A dense pair contributes `2·n²`; a sparse pair
     /// contributes one broadcast slot plus the override entries per sender
     /// row, i.e. `O(n + edges)`.
     pub fn slot_footprint(&self) -> usize {
-        let dense = self
-            .dense
-            .as_ref()
-            .map_or(0, |b| b[0].slots.len() + b[1].slots.len());
-        let sparse = self.sparse.as_ref().map_or(0, |b| {
-            b.iter()
-                .flat_map(|buf| buf.rows.iter())
-                .map(|r| 1 + r.slots.len())
-                .sum()
-        });
-        dense + sparse
+        [&self.dense, &self.sparse]
+            .into_iter()
+            .flatten()
+            .flatten()
+            .flatten()
+            .map(Row::footprint)
+            .sum()
     }
-}
 
-/// A double-buffered delivery backend: everything the engine's round loop
-/// needs, expressed over a flat slice of `Slot`s so the parallel step phase
-/// can carve disjoint per-chunk ranges.
-///
-/// `Slot` granularity differs per backend — a dense buffer has `n²`
-/// [`BitString`] slots (one per ordered pair), a sparse buffer has `n`
-/// [`SparseRow`] slots (one per sender) — which is why carving goes through
-/// [`DeliveryBuf::slot_range`] and row addressing is relative to the carved
-/// slice.
-pub(crate) trait DeliveryBuf: Sized + Send {
-    /// Element type of the flat slot slice.
-    type Slot: Send + Sync;
-
-    /// Check a buffer pair out of the arena (reusing a retained pair of the
-    /// right size) and reset it: round 0 reads the previous-round buffer
-    /// without clearing it first, so stale content from an earlier run must
-    /// be gone.
-    fn take(arena: &mut DeliveryArena, n: usize) -> [Self; 2];
-
-    /// Return the pair to the arena for the next run.
-    fn put(arena: &mut DeliveryArena, bufs: [Self; 2]);
-
-    /// The full slot slice, mutably.
-    fn slots_mut(&mut self) -> &mut [Self::Slot];
-
-    /// Slot range owned by a chunk stepping nodes `lo..hi`.
-    fn slot_range(n: usize, lo: usize, hi: usize) -> Range<usize>;
-
-    /// Clear sender row `row` (relative to `slots`) in place, retaining
-    /// capacity.
-    fn clear_row(slots: &mut [Self::Slot], n: usize, row: usize);
-
-    /// Finish sender row `row` after its node stepped (the sparse backend
-    /// sorts override entries here so later reads can binary-search).
-    fn seal_row(slots: &mut [Self::Slot], n: usize, row: usize);
-
-    /// Outbox over sender row `row` (relative) for node `me` (absolute).
-    fn outbox<'a>(slots: &'a mut [Self::Slot], n: usize, row: usize, me: usize) -> Outbox<'a>;
-
-    /// Inbox for node `me` over a full previous-round buffer.
-    fn inbox<'a>(slots: &'a [Self::Slot], n: usize, me: usize) -> Inbox<'a>;
-
-    /// Iterate the non-empty messages of sealed sender row `row` (relative)
-    /// for node `me` (absolute), as `(recipient, payload)` with recipients
-    /// ascending — the order the validation passes and accounting rely on.
-    fn row_iter<'a>(slots: &'a [Self::Slot], n: usize, row: usize, me: usize) -> RowIter<'a>;
-
-    /// Read-only whole-buffer view for bookkeeping (transcripts, crash
-    /// charging, undelivered scans).
-    fn view<'a>(slots: &'a [Self::Slot], n: usize) -> BufView<'a>;
-
-    /// Mutable whole-buffer view for the adversary hooks.
-    fn view_mut<'a>(slots: &'a mut [Self::Slot], n: usize) -> BufViewMut<'a>;
-}
-
-/// The dense backend: a flat sender-major `n × n` matrix of message slots,
-/// `slots[v*n + u]` = payload `v → u`.
-#[derive(Debug)]
-pub(crate) struct DenseBuf {
-    n: usize,
-    slots: Vec<BitString>,
-}
-
-impl DenseBuf {
-    fn fresh(n: usize) -> Self {
-        Self {
-            n,
-            slots: vec![BitString::new(); n * n],
+    /// The parked pair for `mode` (anything but sparse is dense).
+    fn pair(&mut self, mode: DeliveryMode) -> &mut Option<[Vec<Row>; 2]> {
+        match mode {
+            DeliveryMode::Sparse => &mut self.sparse,
+            _ => &mut self.dense,
         }
     }
-}
 
-impl DeliveryBuf for DenseBuf {
-    type Slot = BitString;
-
-    fn take(arena: &mut DeliveryArena, n: usize) -> [Self; 2] {
-        match arena.dense.take() {
-            Some(mut bufs) if bufs[0].n == n => {
-                for b in &mut bufs {
-                    for m in &mut b.slots {
-                        m.clear();
-                    }
-                }
+    /// Check out a buffer pair of `n` rows in `mode`'s format, reusing the
+    /// parked pair if it has the right size, and reset it: round 0 reads
+    /// the previous-round buffer without clearing it first, so stale
+    /// content from an earlier run must be gone.
+    pub(crate) fn take(&mut self, mode: DeliveryMode, n: usize) -> [Vec<Row>; 2] {
+        match self.pair(mode).take() {
+            Some(mut bufs) if bufs[0].len() == n => {
+                bufs.iter_mut().flatten().for_each(Row::clear);
                 bufs
             }
-            _ => [Self::fresh(n), Self::fresh(n)],
-        }
-    }
-
-    fn put(arena: &mut DeliveryArena, bufs: [Self; 2]) {
-        arena.dense = Some(bufs);
-    }
-
-    fn slots_mut(&mut self) -> &mut [BitString] {
-        &mut self.slots
-    }
-
-    fn slot_range(n: usize, lo: usize, hi: usize) -> Range<usize> {
-        lo * n..hi * n
-    }
-
-    fn clear_row(slots: &mut [BitString], n: usize, row: usize) {
-        for m in &mut slots[row * n..(row + 1) * n] {
-            m.clear();
-        }
-    }
-
-    fn seal_row(_slots: &mut [BitString], _n: usize, _row: usize) {}
-
-    fn outbox<'a>(slots: &'a mut [BitString], n: usize, row: usize, me: usize) -> Outbox<'a> {
-        Outbox::new(&mut slots[row * n..(row + 1) * n], me)
-    }
-
-    fn inbox<'a>(slots: &'a [BitString], n: usize, me: usize) -> Inbox<'a> {
-        Inbox::transposed(slots, n, me)
-    }
-
-    fn row_iter<'a>(slots: &'a [BitString], n: usize, row: usize, _me: usize) -> RowIter<'a> {
-        RowIter::Dense {
-            row: &slots[row * n..(row + 1) * n],
-            u: 0,
-        }
-    }
-
-    fn view<'a>(slots: &'a [BitString], n: usize) -> BufView<'a> {
-        BufView::Dense { slots, n }
-    }
-
-    fn view_mut<'a>(slots: &'a mut [BitString], n: usize) -> BufViewMut<'a> {
-        BufViewMut::Dense { slots, n }
-    }
-}
-
-/// The sparse backend: one [`SparseRow`] per sender.
-#[derive(Debug)]
-pub(crate) struct SparseBuf {
-    n: usize,
-    rows: Vec<SparseRow>,
-}
-
-impl SparseBuf {
-    fn fresh(n: usize) -> Self {
-        Self {
-            n,
-            rows: (0..n).map(|_| SparseRow::default()).collect(),
-        }
-    }
-}
-
-impl DeliveryBuf for SparseBuf {
-    type Slot = SparseRow;
-
-    fn take(arena: &mut DeliveryArena, n: usize) -> [Self; 2] {
-        match arena.sparse.take() {
-            Some(mut bufs) if bufs[0].n == n => {
-                for b in &mut bufs {
-                    for r in &mut b.rows {
-                        r.clear();
-                    }
-                }
-                bufs
+            _ => {
+                let fresh = || (0..n).map(|_| Row::new(mode, n)).collect();
+                [fresh(), fresh()]
             }
-            _ => [Self::fresh(n), Self::fresh(n)],
         }
     }
 
-    fn put(arena: &mut DeliveryArena, bufs: [Self; 2]) {
-        arena.sparse = Some(bufs);
+    /// Park a pair taken with [`DeliveryArena::take`] for the next run.
+    pub(crate) fn put(&mut self, mode: DeliveryMode, bufs: [Vec<Row>; 2]) {
+        *self.pair(mode) = Some(bufs);
+    }
+}
+
+/// One sender's messages for one round, in either format. Callers name the
+/// sender `me` where a method needs it; a row never holds a message to its
+/// own sender.
+#[derive(Debug)]
+pub(crate) enum Row {
+    /// One slot per recipient: slot `u` is the message to `u`.
+    Dense(Vec<BitString>),
+    /// A shared broadcast payload plus per-recipient overrides.
+    Sparse(SparseRow),
+}
+
+impl Row {
+    /// An empty row of width `n` in `mode`'s format (anything but sparse is
+    /// dense).
+    pub(crate) fn new(mode: DeliveryMode, n: usize) -> Self {
+        match mode {
+            DeliveryMode::Sparse => Row::Sparse(SparseRow::new(n)),
+            _ => Row::Dense(vec![BitString::new(); n]),
+        }
     }
 
-    fn slots_mut(&mut self) -> &mut [SparseRow] {
-        &mut self.rows
+    /// Retained payload slots (see [`DeliveryArena::slot_footprint`]).
+    fn footprint(&self) -> usize {
+        match self {
+            Row::Dense(slots) => slots.len(),
+            Row::Sparse(r) => 1 + r.slots.len(),
+        }
     }
 
-    fn slot_range(_n: usize, lo: usize, hi: usize) -> Range<usize> {
-        lo..hi
+    /// Reset for a new round in place, retaining capacity.
+    pub(crate) fn clear(&mut self) {
+        match self {
+            Row::Dense(slots) => slots.iter_mut().for_each(BitString::clear),
+            Row::Sparse(r) => r.clear(),
+        }
     }
 
-    fn clear_row(slots: &mut [SparseRow], _n: usize, row: usize) {
-        slots[row].clear();
+    /// Finish the row after its sender stepped (a sparse row sorts its
+    /// override entries so later reads can binary-search).
+    pub(crate) fn seal(&mut self) {
+        if let Row::Sparse(r) = self {
+            r.seal();
+        }
     }
 
-    fn seal_row(slots: &mut [SparseRow], _n: usize, row: usize) {
-        slots[row].seal();
+    /// An outbox for sender `me` over this cleared row.
+    pub(crate) fn outbox(&mut self, me: usize) -> Outbox<'_> {
+        match self {
+            Row::Dense(slots) => Outbox::new(slots, me),
+            Row::Sparse(r) => Outbox::sparse(r, me),
+        }
     }
 
-    fn outbox<'a>(slots: &'a mut [SparseRow], n: usize, row: usize, me: usize) -> Outbox<'a> {
-        Outbox::sparse(&mut slots[row], n, me)
+    /// The message from sender `me` to `u` in this sealed row (empty if
+    /// none; the diagonal `u == me` is always empty).
+    #[inline]
+    pub(crate) fn get(&self, me: usize, u: usize) -> &BitString {
+        if u == me {
+            return &EMPTY;
+        }
+        match self {
+            Row::Dense(slots) => &slots[u],
+            Row::Sparse(r) => r.get(u),
+        }
     }
 
-    fn inbox<'a>(slots: &'a [SparseRow], n: usize, me: usize) -> Inbox<'a> {
-        Inbox::sparse(slots, n, me)
-    }
-
-    fn row_iter<'a>(slots: &'a [SparseRow], n: usize, row: usize, me: usize) -> RowIter<'a> {
-        let r = &slots[row];
-        if r.bcast.is_empty() {
-            RowIter::SparseEntries {
+    /// The non-empty messages of this sealed row from sender `me`, as
+    /// `(recipient, payload)` with recipients ascending — the order the
+    /// validation passes and accounting rely on.
+    pub(crate) fn iter(&self, me: usize) -> RowIter<'_> {
+        match self {
+            Row::Dense(slots) => RowIter::Dense { slots, u: 0 },
+            Row::Sparse(r) if r.bcast.is_empty() => RowIter::Entries {
                 entries: r.entries(),
                 i: 0,
-            }
-        } else {
-            RowIter::SparseBcast {
-                row: r,
-                n,
+            },
+            Row::Sparse(row) => RowIter::Broadcast {
+                row,
                 me,
                 u: 0,
                 e: 0,
-            }
+            },
         }
     }
 
-    fn view<'a>(slots: &'a [SparseRow], _n: usize) -> BufView<'a> {
-        BufView::Sparse { rows: slots }
+    /// Visit the non-empty messages of this sealed row from sender `me` in
+    /// ascending recipient order, mutably — the adversary sweep order both
+    /// formats share. A sparse row hands out a scratch copy of its shared
+    /// broadcast payload per recipient and materialises changed copies as
+    /// overrides: the adversary damages *copies per link*, never the shared
+    /// payload.
+    pub(crate) fn for_each_msg_mut(&mut self, me: usize, mut f: impl FnMut(usize, &mut BitString)) {
+        match self {
+            Row::Dense(slots) => {
+                for (u, m) in slots.iter_mut().enumerate() {
+                    if u != me && !m.is_empty() {
+                        f(u, m);
+                    }
+                }
+            }
+            Row::Sparse(r) => r.for_each_msg_mut(me, f),
+        }
     }
 
-    fn view_mut<'a>(slots: &'a mut [SparseRow], n: usize) -> BufViewMut<'a> {
-        BufViewMut::Sparse { rows: slots, n }
+    /// Visit the distinct non-empty payloads of this sealed row with their
+    /// recipient multiplicities (dense: each slot once; sparse: the shared
+    /// broadcast payload once with its coverage, then each override). The
+    /// sweep for per-payload rewrites that must treat every copy
+    /// identically — equal payloads stay equal, so dense and sparse remain
+    /// bit-identical while a sparse row keeps its sharing.
+    pub(crate) fn for_each_payload_mut(&mut self, mut f: impl FnMut(usize, &mut BitString)) {
+        match self {
+            Row::Dense(slots) => {
+                for m in slots.iter_mut().filter(|m| !m.is_empty()) {
+                    f(1, m);
+                }
+            }
+            Row::Sparse(r) => r.for_each_payload_mut(f),
+        }
     }
 }
 
-/// One sender's messages for one round in the sparse backend: an optional
-/// broadcast payload shared by every recipient, plus per-recipient override
-/// entries. An override (even an empty one) beats the broadcast payload for
-/// its recipient, mirroring the dense backend's last-write-wins slots; the
-/// broadcast payload being empty means "no broadcast".
-#[derive(Debug, Default)]
+/// A sparse row: an optional broadcast payload shared by every recipient,
+/// plus per-recipient override entries. An override (even an empty one)
+/// beats the broadcast payload for its recipient, mirroring a dense row's
+/// last-write-wins slots; the broadcast payload being empty means "no
+/// broadcast".
+#[derive(Debug)]
 pub(crate) struct SparseRow {
+    /// Number of nodes (the row's width).
+    n: usize,
     /// Payload sent to every non-overridden recipient (empty = none).
     bcast: BitString,
     /// Number of live entries at the front of `slots`.
@@ -345,6 +272,21 @@ pub(crate) struct SparseRow {
 }
 
 impl SparseRow {
+    /// An empty row of width `n`.
+    fn new(n: usize) -> Self {
+        Self {
+            n,
+            bcast: BitString::new(),
+            live: 0,
+            slots: Vec::new(),
+        }
+    }
+
+    /// Number of nodes (the row's width).
+    pub(crate) fn n(&self) -> usize {
+        self.n
+    }
+
     /// Reset for a new round, retaining all payload allocations.
     fn clear(&mut self) {
         self.bcast.clear();
@@ -375,14 +317,14 @@ impl SparseRow {
     }
 
     /// Sort the live entries by recipient so reads can binary-search.
-    pub(crate) fn seal(&mut self) {
+    fn seal(&mut self) {
         self.slots[..self.live].sort_unstable_by_key(|e| e.0);
     }
 
     /// The message to `u` (requires a sealed row; `u` must not be the
-    /// sender itself — the engine's views guard the diagonal).
-    pub(crate) fn get(&self, u: usize) -> &BitString {
-        match self.slots[..self.live].binary_search_by_key(&(u as u32), |e| e.0) {
+    /// sender itself — [`Row::get`] guards the diagonal).
+    fn get(&self, u: usize) -> &BitString {
+        match self.entries().binary_search_by_key(&(u as u32), |e| e.0) {
             Ok(i) => &self.slots[i].1,
             Err(_) => &self.bcast,
         }
@@ -393,12 +335,8 @@ impl SparseRow {
         &self.slots[..self.live]
     }
 
-    /// Visit every non-empty message of this sealed row in ascending
-    /// recipient order, mutably. Recipients covered by the shared broadcast
-    /// payload get a scratch copy; if the visitor changes it, the changed
-    /// copy is materialised as an override entry — the adversary hooks
-    /// damage *copies per link*, never the shared payload.
-    fn for_each_msg_mut(&mut self, me: usize, n: usize, mut f: impl FnMut(usize, &mut BitString)) {
+    /// See [`Row::for_each_msg_mut`].
+    fn for_each_msg_mut(&mut self, me: usize, mut f: impl FnMut(usize, &mut BitString)) {
         if self.bcast.is_empty() {
             for e in &mut self.slots[..self.live] {
                 if !e.1.is_empty() {
@@ -410,7 +348,7 @@ impl SparseRow {
         let mut pending: Vec<(u32, BitString)> = Vec::new();
         let mut scratch = BitString::new();
         let mut e = 0usize;
-        for u in 0..n {
+        for u in 0..self.n {
             if u == me {
                 continue;
             }
@@ -431,7 +369,7 @@ impl SparseRow {
             }
         }
         for (u, payload) in pending {
-            match self.slots[..self.live].binary_search_by_key(&u, |e| e.0) {
+            match self.entries().binary_search_by_key(&u, |e| e.0) {
                 Ok(_) => unreachable!("pending overrides never duplicate an existing entry"),
                 Err(i) => {
                     self.slots.insert(i, (u, payload));
@@ -441,18 +379,16 @@ impl SparseRow {
         }
     }
 
-    /// Visit each distinct non-empty *payload* of this sealed row, with
-    /// the number of recipients it reaches. Unlike
-    /// [`SparseRow::for_each_msg_mut`], the shared broadcast payload is
+    /// See [`Row::for_each_payload_mut`]. The shared broadcast payload is
     /// handed to the visitor **once** (with multiplicity `n − 1 − live`),
-    /// in place — for sweeps that rewrite every copy identically (message
-    /// signing/verification), mutating the shared storage is both correct
-    /// and preserves the backend's memory sharing. Overrides never target
-    /// the sender ([`crate::node::Outbox::send`] rejects self-sends), so
-    /// the multiplicity arithmetic needs no diagonal adjustment.
-    fn for_each_payload_mut(&mut self, n: usize, mut f: impl FnMut(usize, &mut BitString)) {
+    /// in place: for sweeps that rewrite every copy identically (message
+    /// signing/verification) mutating the shared storage is both correct
+    /// and keeps the sharing. Overrides never target the sender
+    /// ([`crate::node::Outbox::send`] rejects self-sends), so the
+    /// multiplicity arithmetic needs no diagonal adjustment.
+    fn for_each_payload_mut(&mut self, mut f: impl FnMut(usize, &mut BitString)) {
         if !self.bcast.is_empty() {
-            let covered = n - 1 - self.live;
+            let covered = self.n - 1 - self.live;
             if covered > 0 {
                 f(covered, &mut self.bcast);
             }
@@ -466,18 +402,17 @@ impl SparseRow {
 }
 
 /// Iterator over the non-empty `(recipient, payload)` messages of one
-/// sealed sender row, recipients ascending. A concrete enum (rather than
-/// `impl Iterator` per backend) so [`DeliveryBuf`] stays object-simple.
+/// sealed row, recipients ascending (see [`Row::iter`]).
 pub(crate) enum RowIter<'a> {
-    /// Dense row slice; empty slots (including the diagonal) are skipped.
+    /// Dense slots; empty slots (including the diagonal) are skipped.
     Dense {
         /// The sender's `n` slots.
-        row: &'a [BitString],
+        slots: &'a [BitString],
         /// Next recipient to inspect.
         u: usize,
     },
     /// Sparse row with no broadcast payload: walk the sorted entries.
-    SparseEntries {
+    Entries {
         /// The sealed override entries.
         entries: &'a [(u32, BitString)],
         /// Next entry to inspect.
@@ -485,11 +420,9 @@ pub(crate) enum RowIter<'a> {
     },
     /// Sparse row with a broadcast payload: merge the shared payload with
     /// the sorted overrides, two-pointer style.
-    SparseBcast {
+    Broadcast {
         /// The sealed row.
         row: &'a SparseRow,
-        /// Number of nodes.
-        n: usize,
         /// The sender (skipped).
         me: usize,
         /// Next recipient to inspect.
@@ -504,18 +437,18 @@ impl<'a> Iterator for RowIter<'a> {
 
     fn next(&mut self) -> Option<(usize, &'a BitString)> {
         match self {
-            RowIter::Dense { row, u } => {
-                let row: &'a [BitString] = row;
-                while *u < row.len() {
+            RowIter::Dense { slots, u } => {
+                let slots: &'a [BitString] = slots;
+                while *u < slots.len() {
                     let i = *u;
                     *u += 1;
-                    if !row[i].is_empty() {
-                        return Some((i, &row[i]));
+                    if !slots[i].is_empty() {
+                        return Some((i, &slots[i]));
                     }
                 }
                 None
             }
-            RowIter::SparseEntries { entries, i } => {
+            RowIter::Entries { entries, i } => {
                 let entries: &'a [(u32, BitString)] = entries;
                 while *i < entries.len() {
                     let j = *i;
@@ -526,10 +459,10 @@ impl<'a> Iterator for RowIter<'a> {
                 }
                 None
             }
-            RowIter::SparseBcast { row, n, me, u, e } => {
+            RowIter::Broadcast { row, me, u, e } => {
                 let row: &'a SparseRow = row;
                 let entries = row.entries();
-                while *u < *n {
+                while *u < row.n {
                     let cur = *u;
                     *u += 1;
                     if cur == *me {
@@ -553,146 +486,39 @@ impl<'a> Iterator for RowIter<'a> {
     }
 }
 
-/// Read-only view of one whole delivery buffer, backend-erased. Used by the
-/// bookkeeping paths (crash charging, undelivered scans, transcripts) so
-/// they stay a single implementation across backends.
-pub(crate) enum BufView<'a> {
-    /// Dense sender-major matrix.
-    Dense {
-        /// The `n²` slots.
-        slots: &'a [BitString],
-        /// Number of nodes.
-        n: usize,
-    },
-    /// Sparse per-sender rows.
-    Sparse {
-        /// The `n` sealed rows.
-        rows: &'a [SparseRow],
-    },
-}
-
-impl<'a> BufView<'a> {
-    /// A view over a dense sender-major matrix, for in-crate tests that
-    /// drive the adversary hooks directly.
-    #[cfg(test)]
-    pub(crate) fn dense(slots: &'a [BitString], n: usize) -> Self {
-        debug_assert_eq!(slots.len(), n * n);
-        BufView::Dense { slots, n }
-    }
-
-    /// Number of nodes.
-    pub(crate) fn n(&self) -> usize {
-        match self {
-            BufView::Dense { n, .. } => *n,
-            BufView::Sparse { rows } => rows.len(),
+/// Turn a flat sender-major `n × n` matrix (slot `v*n + u` = message
+/// `v → u`) into dense rows, run `f` over them, and write the rows back, so
+/// in-crate tests can drive the wire stages on a plain matrix.
+#[cfg(test)]
+pub(crate) fn with_rows<T>(
+    matrix: &mut [BitString],
+    n: usize,
+    f: impl FnOnce(&mut [Row]) -> T,
+) -> T {
+    assert_eq!(matrix.len(), n * n);
+    let mut rows: Vec<Row> = matrix
+        .chunks_mut(n)
+        .map(|r| Row::Dense(r.iter_mut().map(std::mem::take).collect()))
+        .collect();
+    let out = f(&mut rows);
+    for (dst, row) in matrix.chunks_mut(n).zip(rows) {
+        let Row::Dense(slots) = row else {
+            unreachable!("dense rows stay dense")
+        };
+        for (d, m) in dst.iter_mut().zip(slots) {
+            *d = m;
         }
     }
-
-    /// The message `v → u` (empty if none; the diagonal is always empty).
-    pub(crate) fn get(&self, v: usize, u: usize) -> &'a BitString {
-        match self {
-            BufView::Dense { slots, n } => {
-                let slots: &'a [BitString] = slots;
-                &slots[v * *n + u]
-            }
-            BufView::Sparse { rows } => {
-                let rows: &'a [SparseRow] = rows;
-                if u == v {
-                    &EMPTY
-                } else {
-                    rows[v].get(u)
-                }
-            }
-        }
-    }
-}
-
-/// Mutable view of one whole delivery buffer, backend-erased. The adversary
-/// hooks (link faults, Byzantine rewrites) mutate messages through this so
-/// their sweep order and semantics are backend-independent.
-pub(crate) enum BufViewMut<'a> {
-    /// Dense sender-major matrix.
-    Dense {
-        /// The `n²` slots.
-        slots: &'a mut [BitString],
-        /// Number of nodes.
-        n: usize,
-    },
-    /// Sparse per-sender rows.
-    Sparse {
-        /// The `n` sealed rows.
-        rows: &'a mut [SparseRow],
-        /// Number of nodes.
-        n: usize,
-    },
-}
-
-impl<'a> BufViewMut<'a> {
-    /// A mutable view over a dense sender-major matrix, for in-crate tests
-    /// that drive the adversary hooks directly.
-    #[cfg(test)]
-    pub(crate) fn dense(slots: &'a mut [BitString], n: usize) -> Self {
-        debug_assert_eq!(slots.len(), n * n);
-        BufViewMut::Dense { slots, n }
-    }
-
-    /// Number of nodes.
-    pub(crate) fn n(&self) -> usize {
-        match self {
-            BufViewMut::Dense { n, .. } | BufViewMut::Sparse { n, .. } => *n,
-        }
-    }
-
-    /// Visit sender `v`'s non-empty messages in ascending recipient order,
-    /// mutably — the adversary sweep order both backends share.
-    pub(crate) fn for_each_msg_mut(&mut self, v: usize, f: impl FnMut(usize, &mut BitString)) {
-        match self {
-            BufViewMut::Dense { slots, n } => {
-                let n = *n;
-                let mut f = f;
-                for u in 0..n {
-                    if u == v {
-                        continue;
-                    }
-                    let m = &mut slots[v * n + u];
-                    if !m.is_empty() {
-                        f(u, m);
-                    }
-                }
-            }
-            BufViewMut::Sparse { rows, n } => rows[v].for_each_msg_mut(v, *n, f),
-        }
-    }
-
-    /// Visit sender `v`'s distinct non-empty payloads with their recipient
-    /// multiplicities (dense: always 1; sparse: the shared broadcast
-    /// payload once with its coverage, then each override). The sweep for
-    /// per-payload rewrites that must treat every copy identically —
-    /// equal payloads stay equal, so dense and sparse remain
-    /// bit-identical while the sparse backend keeps its sharing.
-    pub(crate) fn for_each_payload_mut(&mut self, v: usize, f: impl FnMut(usize, &mut BitString)) {
-        match self {
-            BufViewMut::Dense { slots, n } => {
-                let n = *n;
-                let mut f = f;
-                for u in 0..n {
-                    if u == v {
-                        continue;
-                    }
-                    let m = &mut slots[v * n + u];
-                    if !m.is_empty() {
-                        f(1, m);
-                    }
-                }
-            }
-            BufViewMut::Sparse { rows, n } => rows[v].for_each_payload_mut(*n, f),
-        }
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::{Inbox, NodeId};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn bits(s: &[bool]) -> BitString {
         BitString::from_bits(s.iter().copied())
@@ -700,7 +526,7 @@ mod tests {
 
     #[test]
     fn sparse_row_send_overrides_and_seals() {
-        let mut r = SparseRow::default();
+        let mut r = SparseRow::new(5);
         r.send(3, bits(&[true]));
         r.send(1, bits(&[false, true]));
         r.send(3, bits(&[true, true])); // last write wins
@@ -718,7 +544,7 @@ mod tests {
     #[test]
     fn sparse_row_broadcast_then_override() {
         let n = 5;
-        let mut r = SparseRow::default();
+        let mut r = SparseRow::new(n);
         r.send(4, bits(&[true, true, true]));
         r.set_broadcast(&bits(&[true, false])); // discards the earlier send
         r.send(2, bits(&[false])); // override one copy
@@ -729,24 +555,20 @@ mod tests {
         assert!(r.get(3).is_empty());
         assert_eq!(r.get(4), &bits(&[true, false]), "broadcast override gone");
         // Row iteration merges broadcast and overrides, recipients ascending.
-        let rows = vec![r];
-        let got: Vec<(usize, usize)> = SparseBuf::row_iter(&rows, n, 0, 0)
-            .map(|(u, m)| (u, m.len()))
-            .collect();
+        let row = Row::Sparse(r);
+        let got: Vec<(usize, usize)> = row.iter(0).map(|(u, m)| (u, m.len())).collect();
         assert_eq!(got, vec![(1, 2), (2, 1), (4, 2)]);
     }
 
     #[test]
     fn sparse_row_iter_without_broadcast_skips_empties() {
-        let mut r = SparseRow::default();
+        let mut r = SparseRow::new(6);
         r.send(2, bits(&[true]));
         r.send(0, BitString::new());
         r.send(4, bits(&[false, false]));
         r.seal();
-        let rows = vec![r];
-        let got: Vec<usize> = SparseBuf::row_iter(&rows, 6, 0, 1)
-            .map(|(u, _)| u)
-            .collect();
+        let row = Row::Sparse(r);
+        let got: Vec<usize> = row.iter(1).map(|(u, _)| u).collect();
         assert_eq!(got, vec![2, 4]);
     }
 
@@ -754,11 +576,11 @@ mod tests {
     fn for_each_msg_mut_materialises_changed_broadcast_copies() {
         let n = 4;
         let me = 0;
-        let mut r = SparseRow::default();
+        let mut r = SparseRow::new(n);
         r.set_broadcast(&bits(&[true, true]));
         r.seal();
         // Damage only recipient 2's copy.
-        r.for_each_msg_mut(me, n, |u, m| {
+        r.for_each_msg_mut(me, |u, m| {
             if u == 2 {
                 m.set(0, false);
             }
@@ -768,30 +590,134 @@ mod tests {
         assert_eq!(r.get(3), &bits(&[true, true]));
         // A second sweep sees the override in place of the broadcast copy.
         let mut seen = Vec::new();
-        r.for_each_msg_mut(me, n, |u, m| seen.push((u, m.get(0))));
+        r.for_each_msg_mut(me, |u, m| seen.push((u, m.get(0))));
         assert_eq!(seen, vec![(1, true), (2, false), (3, true)]);
     }
 
-    #[test]
-    fn views_agree_between_backends() {
-        let n = 3;
-        // Dense: 0 → 1 and 2 → 0.
-        let mut dense = vec![BitString::new(); n * n];
-        dense[1] = bits(&[true]);
-        dense[2 * n] = bits(&[false, true]);
-        // Sparse mirror.
-        let mut rows: Vec<SparseRow> = (0..n).map(|_| SparseRow::default()).collect();
-        rows[0].send(1, bits(&[true]));
-        rows[2].send(0, bits(&[false, true]));
-        for r in &mut rows {
-            r.seal();
-        }
-        let dv = BufView::dense(&dense, n);
-        let sv = SparseBuf::view(&rows, n);
-        assert_eq!(dv.n(), sv.n());
-        for v in 0..n {
+    /// The non-empty messages of sender `v` in the flat model, recipients
+    /// ascending.
+    fn model_row(want: &[BitString], n: usize, v: usize) -> Vec<(usize, BitString)> {
+        (0..n)
+            .filter(|&u| !want[v * n + u].is_empty())
+            .map(|u| (u, want[v * n + u].clone()))
+            .collect()
+    }
+
+    /// Every read of `buf` — `get` on every pair (diagonal included), the
+    /// ascending row iterator, and each node's inbox — agrees with the flat
+    /// sender-major model `want`.
+    fn reads_match(buf: &[Row], want: &[BitString]) -> Result<(), TestCaseError> {
+        let n = buf.len();
+        for (v, row) in buf.iter().enumerate() {
             for u in 0..n {
-                assert_eq!(dv.get(v, u), sv.get(v, u), "({v},{u})");
+                prop_assert_eq!(row.get(v, u), &want[v * n + u], "get({}, {})", v, u);
+            }
+            let got: Vec<(usize, BitString)> = row.iter(v).map(|(u, m)| (u, m.clone())).collect();
+            prop_assert_eq!(got, model_row(want, n, v), "iter({})", v);
+        }
+        for me in 0..n {
+            let inbox = Inbox::rows(buf, me);
+            for u in 0..n {
+                prop_assert_eq!(inbox.from(NodeId::from(u)), &want[u * n + me]);
+            }
+            let got: Vec<(usize, BitString)> =
+                inbox.iter().map(|(u, m)| (u.index(), m.clone())).collect();
+            let column: Vec<(usize, BitString)> = (0..n)
+                .filter(|&u| !want[u * n + me].is_empty())
+                .map(|u| (u, want[u * n + me].clone()))
+                .collect();
+            prop_assert_eq!(got, column, "inbox of {}", me);
+        }
+        Ok(())
+    }
+
+    /// A link-level rewrite chosen by `damage` per `(v, u)`: keep, invert,
+    /// clear, or lengthen the copy.
+    fn damage_one(damage: u64, n: usize, v: usize, u: usize, m: &mut BitString) {
+        match (damage >> (2 * ((v * n + u) % 32))) & 3 {
+            0 => {}
+            1 => m.invert(),
+            2 => m.clear(),
+            _ => m.push(true),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn dense_and_sparse_rows_agree_on_random_scripts(
+            n in 2usize..7,
+            scripts in vec(vec((0u8..4, any::<usize>(), vec(any::<bool>(), 0..4)), 0..8), 6),
+            damage in any::<u64>(),
+        ) {
+            // Each sender runs its script (op 3 broadcasts, the rest send
+            // to a non-self recipient; repeats, empty payloads and
+            // overrides after a broadcast all occur) on a dense row, a
+            // sparse row, and the flat sender-major model.
+            let mut want = vec![BitString::new(); n * n];
+            let mut bufs = [DeliveryMode::Dense, DeliveryMode::Sparse]
+                .map(|mode| (0..n).map(|_| Row::new(mode, n)).collect::<Vec<_>>());
+            for (v, script) in scripts.iter().take(n).enumerate() {
+                for (op, to, payload) in script {
+                    let msg = bits(payload);
+                    let to = (v + 1 + to % (n - 1)) % n;
+                    for buf in &mut bufs {
+                        let mut outbox = buf[v].outbox(v);
+                        match op {
+                            3 => outbox.broadcast(&msg),
+                            _ => outbox.send(NodeId::from(to), msg.clone()),
+                        }
+                    }
+                    match op {
+                        3 => (0..n).filter(|&u| u != v).for_each(|u| want[v * n + u] = msg.clone()),
+                        _ => want[v * n + to] = msg,
+                    }
+                }
+            }
+            bufs.iter_mut().flatten().for_each(Row::seal);
+            for buf in &bufs {
+                reads_match(buf, &want)?;
+            }
+
+            // The adversary sweep visits the model's messages in order and
+            // materialises exactly the copies it changed.
+            for buf in &mut bufs {
+                for (v, row) in buf.iter_mut().enumerate() {
+                    let mut seen = Vec::new();
+                    row.for_each_msg_mut(v, |u, m| {
+                        seen.push((u, m.clone()));
+                        damage_one(damage, n, v, u, m);
+                    });
+                    prop_assert_eq!(seen, model_row(&want, n, v), "msg sweep of {}", v);
+                }
+            }
+            for (i, m) in want.iter_mut().enumerate().filter(|(_, m)| !m.is_empty()) {
+                damage_one(damage, n, i / n, i % n, m);
+            }
+            for buf in &bufs {
+                reads_match(buf, &want)?;
+            }
+
+            // The payload sweep covers the same multiset of copies, and a
+            // payload-keyed rewrite (as signing is) lands on every copy.
+            for buf in &mut bufs {
+                for (v, row) in buf.iter_mut().enumerate() {
+                    let mut copies = Vec::new();
+                    row.for_each_payload_mut(|k, m| {
+                        copies.extend(std::iter::repeat_n(m.iter().collect::<Vec<bool>>(), k));
+                        m.push(m.len() % 2 == 0);
+                    });
+                    copies.sort();
+                    let mut model: Vec<Vec<bool>> =
+                        model_row(&want, n, v).into_iter().map(|(_, m)| m.iter().collect()).collect();
+                    model.sort();
+                    prop_assert_eq!(copies, model, "payload sweep of {}", v);
+                }
+            }
+            for m in want.iter_mut().filter(|m| !m.is_empty()) {
+                m.push(m.len() % 2 == 0);
+            }
+            for buf in &bufs {
+                reads_match(buf, &want)?;
             }
         }
     }
@@ -800,26 +726,25 @@ mod tests {
     fn arena_reuses_and_reports_footprint() {
         let mut arena = DeliveryArena::new();
         assert_eq!(arena.slot_footprint(), 0);
-        let bufs = SparseBuf::take(&mut arena, 4);
-        SparseBuf::put(&mut arena, bufs);
+        let bufs = arena.take(DeliveryMode::Sparse, 4);
+        arena.put(DeliveryMode::Sparse, bufs);
         // 2 buffers × 4 rows × (1 broadcast slot + 0 entries).
         assert_eq!(arena.slot_footprint(), 8);
         // Same n: the pair is reused, cleared.
-        let bufs = SparseBuf::take(&mut arena, 4);
+        let bufs = arena.take(DeliveryMode::Sparse, 4);
         assert_eq!(arena.slot_footprint(), 0, "checked out");
         assert!(bufs[0]
-            .rows
             .iter()
-            .all(|r| r.bcast.is_empty() && r.live == 0));
-        SparseBuf::put(&mut arena, bufs);
+            .all(|r| matches!(r, Row::Sparse(r) if r.bcast.is_empty() && r.live == 0)));
+        arena.put(DeliveryMode::Sparse, bufs);
         // Different n: a fresh pair replaces the stale one.
-        let bufs = SparseBuf::take(&mut arena, 2);
-        assert_eq!(bufs[0].rows.len(), 2);
-        SparseBuf::put(&mut arena, bufs);
+        let bufs = arena.take(DeliveryMode::Sparse, 2);
+        assert_eq!(bufs[0].len(), 2);
+        arena.put(DeliveryMode::Sparse, bufs);
         assert_eq!(arena.slot_footprint(), 4);
 
-        let dense = DenseBuf::take(&mut arena, 3);
-        DenseBuf::put(&mut arena, dense);
+        let dense = arena.take(DeliveryMode::Dense, 3);
+        arena.put(DeliveryMode::Dense, dense);
         assert_eq!(arena.slot_footprint(), 4 + 2 * 9);
     }
 

@@ -18,14 +18,15 @@
 //! round. The borrow checker proves the chunks disjoint. Without chunking
 //! the main thread runs the same step function inline over all nodes.
 //!
-//! Message delivery is **double-buffered** behind a pluggable backend (see
-//! [`DeliveryMode`]): the dense backend keeps a sender-major `n × n` matrix,
-//! the sparse backend a per-sender edge list with a shared broadcast
-//! payload. Either way nodes write sends into one buffer while reading the
-//! previous round's through a receiver-oriented inbox view, so delivery is
-//! a buffer swap (no O(n²) transpose, and steady-state rounds allocate
-//! nothing — slots are cleared in place, retaining capacity, and persist
-//! across runs via [`DeliveryArena`]).
+//! Message delivery is **double-buffered**: each buffer is one sender row
+//! per node, dense (a slot per recipient) or sparse (an edge list with a
+//! shared broadcast payload) as [`DeliveryMode`] decides per run; the
+//! engine itself never branches on the format. Nodes write sends into
+//! their rows of one buffer while reading the previous round's rows
+//! through a receiver-oriented inbox view, so delivery is a buffer swap
+//! (no O(n²) transpose, and steady-state rounds allocate nothing — rows
+//! are cleared in place, retaining capacity, and persist across runs via
+//! [`DeliveryArena`]).
 //!
 //! Chunked and inline execution produce bit-identical outputs, transcripts,
 //! and [`RunStats`] (wall-clock timing excluded).
@@ -39,7 +40,7 @@ use std::time::{Duration, Instant};
 use crate::auth::{AuthKeyring, AuthLedger};
 use crate::bits::BitString;
 use crate::byzantine::{ByzantinePlan, ByzantineReport};
-use crate::delivery::{BufView, DeliveryArena, DeliveryBuf, DeliveryMode, DenseBuf, SparseBuf};
+use crate::delivery::{DeliveryArena, DeliveryMode, Row};
 use crate::fault::{FaultEvent, FaultPlan, FaultReport};
 use crate::node::{Inbox, NodeCtx, NodeId, NodeProgram, Outbox, Status};
 use crate::stats::RunStats;
@@ -643,7 +644,7 @@ impl Engine {
     /// never retained capacity).
     pub fn run_in<P: NodeProgram>(
         &self,
-        programs: Vec<P>,
+        mut programs: Vec<P>,
         arena: &mut DeliveryArena,
     ) -> Result<Outcome<Option<P::Output>>, SimError> {
         // Validate before any buffer checkout: rejecting a wrong-sized
@@ -654,19 +655,6 @@ impl Engine {
                 got: programs.len(),
             });
         }
-        match self.resolved_delivery() {
-            DeliveryMode::Sparse => self.run_core::<P, SparseBuf>(programs, arena),
-            _ => self.run_core::<P, DenseBuf>(programs, arena),
-        }
-    }
-
-    /// Set up a run on delivery backend `B`, drive it, and collect the
-    /// outcome.
-    fn run_core<P: NodeProgram, B: DeliveryBuf>(
-        &self,
-        mut programs: Vec<P>,
-        arena: &mut DeliveryArena,
-    ) -> Result<Outcome<Option<P::Output>>, SimError> {
         let n = self.n;
         let ctxs: Vec<NodeCtx> = (0..n)
             .map(|v| NodeCtx {
@@ -679,13 +667,14 @@ impl Engine {
             p.init(ctx);
         }
 
-        // Double-buffered sender-major delivery buffers: in round r the
-        // nodes write sender rows of buffer `r % 2` and read buffer
-        // `1 - r % 2` (written in round r-1) through an Inbox view.
-        // Delivery is the implicit swap; rows are cleared in place at the
-        // start of the round that rewrites them. The pair comes out of the
-        // arena, so repeated runs reuse the allocations.
-        let mut bufs = B::take(arena, n);
+        // Double-buffered sender rows: in round r the nodes write their
+        // rows of buffer `r % 2` and read buffer `1 - r % 2` (written in
+        // round r-1) through an Inbox view. Delivery is the implicit swap;
+        // rows are cleared in place at the start of the round that
+        // rewrites them. The pair comes out of the arena, so repeated runs
+        // reuse the allocations.
+        let mode = self.resolved_delivery();
+        let mut bufs = arena.take(mode, n);
         let mut halted = vec![false; n];
         let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
         let mut book = RoundBook::new(self);
@@ -699,19 +688,19 @@ impl Engine {
         );
         // Return the buffers even on a failed run, so the next run through
         // the same arena still reuses the allocations.
-        B::put(arena, bufs);
+        arena.put(mode, bufs);
         result?;
         Ok(book.finish(outputs))
     }
 
     /// Drive a run round by round until every node halts or the run
     /// fails. Every main-thread section appears here once.
-    fn drive<P: NodeProgram, B: DeliveryBuf>(
+    fn drive<P: NodeProgram>(
         &self,
         programs: &mut [P],
         halted: &mut [bool],
         outputs: &mut [Option<P::Output>],
-        bufs: &mut [B; 2],
+        bufs: &mut [Vec<Row>; 2],
         ctxs: &[NodeCtx],
         book: &mut RoundBook<'_>,
     ) -> Result<(), SimError> {
@@ -728,13 +717,13 @@ impl Engine {
                 0 => (a, b),
                 _ => (b, a),
             };
-            let mut all = Nodes::<P, B> {
+            let mut all = Nodes {
                 lo: 0,
                 programs: &mut *programs,
                 halted: &mut *halted,
                 outputs: &mut *outputs,
-                cur: cur.slots_mut(),
-                prev: prev.slots_mut(),
+                cur,
+                prev,
             };
             if let Some(plan) = book.plan {
                 // Churn prologue. Crashes fire before the activity
@@ -745,14 +734,13 @@ impl Engine {
                 // and steps again from this round on. Running only here on
                 // the main thread (plus address-keyed coins) keeps the
                 // adversary pool-shape independent.
-                let inbound = B::view(all.prev, n);
                 plan.apply_crashes(
                     book.fault_offset + round,
                     all.halted,
-                    &inbound,
+                    all.prev,
                     &mut book.faults,
                 );
-                book.process_churn(round, plan, ctxs, &mut all, &inbound)?;
+                book.process_churn(round, plan, ctxs, &mut all)?;
             }
             for (a, h) in active.iter_mut().zip(all.halted.iter()) {
                 *a = !*h;
@@ -765,10 +753,10 @@ impl Engine {
             };
             let step_end = Instant::now();
 
-            if book.close_round::<P, B>(round, acc, &all, &active, step_start, step_end)? {
+            if book.close_round(round, acc, &all, &active, step_start, step_end)? {
                 return Ok(());
             }
-            book.wire::<B>(round, all.cur, all.prev);
+            book.wire(round, all.cur, all.prev);
             self.check_interrupt(round, started)?;
             round += 1;
         }
@@ -792,9 +780,9 @@ impl Engine {
     /// node's: the same error an inline step surfaces. Program panics are
     /// already errors by then, so a panicking chunk thread is an engine
     /// bug and is re-thrown here.
-    fn step_chunks<P: NodeProgram, B: DeliveryBuf>(
+    fn step_chunks<P: NodeProgram>(
         &self,
-        all: &mut Nodes<'_, P, B>,
+        all: &mut Nodes<'_, P>,
         chunk: usize,
         ctxs: &[NodeCtx],
         round: usize,
@@ -805,9 +793,9 @@ impl Engine {
             .chunks_mut(chunk)
             .zip(all.halted.chunks_mut(chunk))
             .zip(all.outputs.chunks_mut(chunk))
-            .zip(all.cur.chunks_mut(B::slot_range(self.n, 0, chunk).len()))
+            .zip(all.cur.chunks_mut(chunk))
             .enumerate()
-            .map(|(i, (((programs, halted), outputs), cur))| Nodes::<P, B> {
+            .map(|(i, (((programs, halted), outputs), cur))| Nodes {
                 lo: i * chunk,
                 programs,
                 halted,
@@ -833,31 +821,27 @@ impl Engine {
     /// The one step function: step nodes `nodes.lo..` for one round and
     /// validate what they sent. The parallel step phase runs it on each
     /// chunk; otherwise the main thread runs it inline over every node.
-    fn step_chunk<P: NodeProgram, B: DeliveryBuf>(
+    fn step_chunk<P: NodeProgram>(
         &self,
-        nodes: &mut Nodes<'_, P, B>,
+        nodes: &mut Nodes<'_, P>,
         ctxs: &[NodeCtx],
         round: usize,
     ) -> Result<ChunkAcc, SimError> {
-        let (n, lo, prev) = (self.n, nodes.lo, nodes.prev);
-        let cur = &mut *nodes.cur;
         let mut acc = ChunkAcc::default();
         let mine = nodes
             .programs
             .iter_mut()
             .zip(nodes.halted.iter_mut())
-            .zip(nodes.outputs.iter_mut());
-        // `row` is relative to the chunk's write rows `cur`; `ctx.id` is
-        // the node's absolute id.
-        for (row, ((prog, halted), output)) in mine.enumerate() {
-            B::clear_row(cur, n, row);
+            .zip(nodes.outputs.iter_mut())
+            .zip(nodes.cur.iter_mut());
+        for (ctx, (((prog, halted), output), row)) in ctxs[nodes.lo..].iter().zip(mine) {
+            row.clear();
             if *halted {
                 continue;
             }
-            let ctx = &ctxs[lo + row];
-            let inbox = B::inbox(prev, n, ctx.id.index());
+            let inbox = Inbox::rows(nodes.prev, ctx.id.index());
             let status = {
-                let mut outbox = B::outbox(cur, n, row, ctx.id.index());
+                let mut outbox = row.outbox(ctx.id.index());
                 // A panicking program becomes a structured error, not a
                 // torn-down run: the engine (and its caller) must stay
                 // usable after a buggy algorithm.
@@ -874,18 +858,17 @@ impl Engine {
                 *halted = true;
                 *output = Some(out);
             }
-            B::seal_row(cur, n, row);
-            self.admit_row::<B>(cur, row, ctx, round, &mut acc)?;
+            row.seal();
+            self.admit_row(row, ctx, round, &mut acc)?;
         }
         Ok(acc)
     }
 
     /// Check node `ctx.id`'s sealed sender row against the model (CONGEST
     /// topology, broadcast restriction, bandwidth) and charge it to `acc`.
-    fn admit_row<B: DeliveryBuf>(
+    fn admit_row(
         &self,
-        cur: &[B::Slot],
-        row: usize,
+        row: &Row,
         ctx: &NodeCtx,
         round: usize,
         acc: &mut ChunkAcc,
@@ -893,7 +876,7 @@ impl Engine {
         let n = self.n;
         let v = ctx.id.index();
         if !self.topology.is_empty() {
-            for (u, _m) in B::row_iter(cur, n, row, v) {
+            for (u, _m) in row.iter(v) {
                 if !self.topology[v * n + u] {
                     return Err(SimError::TopologyViolated {
                         from: ctx.id,
@@ -908,7 +891,7 @@ impl Engine {
             // either addresses everyone or no one.
             let mut common: Option<&BitString> = None;
             let mut nonempty = 0;
-            for (_u, m) in B::row_iter(cur, n, row, v) {
+            for (_u, m) in row.iter(v) {
                 nonempty += 1;
                 match common {
                     None => common = Some(m),
@@ -928,7 +911,7 @@ impl Engine {
                 });
             }
         }
-        for (u, m) in B::row_iter(cur, n, row, v) {
+        for (u, m) in row.iter(v) {
             if m.len() > self.bandwidth {
                 return Err(SimError::BandwidthExceeded {
                     from: ctx.id,
@@ -961,13 +944,13 @@ impl Engine {
 /// Nodes `lo..lo + programs.len()` in one round: their programs, halt
 /// flags and outputs, their rows `cur` of the write buffer, and the whole
 /// buffer `prev` written last round.
-struct Nodes<'v, P: NodeProgram, B: DeliveryBuf> {
+struct Nodes<'v, P: NodeProgram> {
     lo: usize,
     programs: &'v mut [P],
     halted: &'v mut [bool],
     outputs: &'v mut [Option<P::Output>],
-    cur: &'v mut [B::Slot],
-    prev: &'v [B::Slot],
+    cur: &'v mut [Row],
+    prev: &'v [Row],
 }
 
 #[derive(Default, Clone, Copy)]
@@ -1077,13 +1060,12 @@ impl<'e> RoundBook<'e> {
     /// crash victims the plan will rejoin, replay the missed window to
     /// nodes due back this round, and record the inbound column for every
     /// node still down.
-    fn process_churn<P: NodeProgram, B: DeliveryBuf>(
+    fn process_churn<P: NodeProgram>(
         &mut self,
         round: usize,
         plan: &FaultPlan,
         ctxs: &[NodeCtx],
-        all: &mut Nodes<'_, P, B>,
-        inbound: &BufView<'_>,
+        all: &mut Nodes<'_, P>,
     ) -> Result<(), SimError> {
         let n = self.n;
         let plan_round = self.fault_offset + round;
@@ -1139,15 +1121,8 @@ impl<'e> RoundBook<'e> {
         // round) for every node still awaiting its rejoin.
         for (v, p) in pending.iter_mut().enumerate() {
             if let Some(p) = p {
-                let mut column = Vec::with_capacity(n);
-                for u in 0..n {
-                    column.push(if u == v {
-                        BitString::new()
-                    } else {
-                        inbound.get(u, v).clone()
-                    });
-                }
-                p.window.push(column);
+                let column = all.prev.iter().enumerate().map(|(u, row)| row.get(u, v));
+                p.window.push(column.cloned().collect());
             }
         }
         Ok(())
@@ -1158,17 +1133,15 @@ impl<'e> RoundBook<'e> {
     /// post-step halt flags, `active` the pre-step activity mask. Returns
     /// whether the run is complete (every node halted), or
     /// [`SimError::RoundLimit`] once nodes outlive the limit.
-    fn close_round<P: NodeProgram, B: DeliveryBuf>(
+    fn close_round<P: NodeProgram>(
         &mut self,
         round: usize,
         acc: ChunkAcc,
-        all: &Nodes<'_, P, B>,
+        all: &Nodes<'_, P>,
         active: &[bool],
         step_start: Instant,
         step_end: Instant,
     ) -> Result<bool, SimError> {
-        let n = self.n;
-        let cur = B::view(all.cur, n);
         self.stats.messages += acc.messages;
         self.stats.bits += acc.bits;
         self.stats.max_message_bits = self.stats.max_message_bits.max(acc.max_message_bits);
@@ -1180,7 +1153,7 @@ impl<'e> RoundBook<'e> {
         self.prev_round_bits = acc.bits;
 
         if let Some(ts) = self.transcripts.as_deref_mut() {
-            record_round(ts, active, &B::view(all.prev, n), &cur, n);
+            record_round(ts, active, all.prev, all.cur);
         }
 
         let mut all_halted = true;
@@ -1201,8 +1174,8 @@ impl<'e> RoundBook<'e> {
                 }
                 let mut msgs = 0u64;
                 let mut bits = 0u64;
-                for v in 0..n {
-                    let m = cur.get(v, u);
+                for (v, row) in all.cur.iter().enumerate() {
+                    let m = row.get(v, u);
                     if !m.is_empty() {
                         msgs += 1;
                         bits += m.len() as u64;
@@ -1253,30 +1226,29 @@ impl<'e> RoundBook<'e> {
     /// hold what the programs *sent*; next round's inboxes see what
     /// survives the wire. Running only on the main thread (plus
     /// address-keyed coins) keeps every stage pool-shape independent.
-    fn wire<B: DeliveryBuf>(&mut self, round: usize, cur: &mut [B::Slot], prev: &[B::Slot]) {
-        let mut cur = B::view_mut(cur, self.n);
+    fn wire(&mut self, round: usize, cur: &mut [Row], prev: &[Row]) {
         if let Some(byz) = self.byz {
             // Traitors lie first; `prev` is what each traitor received
             // this round — the adaptive-lying input.
-            byz.apply_rewrites(round, &mut cur, &B::view(prev, self.n), &mut self.byzantine);
+            byz.apply_rewrites(round, cur, prev, &mut self.byzantine);
         }
         if let Some(keyring) = self.auth {
             // Signing follows the rewrites: a traitor's lies are validly
             // signed with its own key (it owns it), while everything
             // downstream — forged tags, wire damage — breaks the tag.
-            keyring.sign_round(round, &mut cur, &mut self.auth_ledger);
+            keyring.sign_round(round, cur, &mut self.auth_ledger);
             if let Some(byz) = self.byz {
-                byz.apply_tag_forgeries(round, &mut cur, &mut self.byzantine);
+                byz.apply_tag_forgeries(round, cur, &mut self.byzantine);
             }
         }
         if let Some(plan) = self.plan {
-            plan.apply_link_faults(self.fault_offset + round, &mut cur, &mut self.faults);
+            plan.apply_link_faults(self.fault_offset + round, cur, &mut self.faults);
         }
         if let Some(keyring) = self.auth {
             // Verification is the last word on the wire: any frame whose
             // tag fails (forged or damaged after signing) is cleared before
             // delivery.
-            keyring.verify_round(round, &mut cur, &mut self.auth_ledger);
+            keyring.verify_round(round, cur, &mut self.auth_ledger);
         }
     }
 }
@@ -1399,32 +1371,26 @@ fn replay_rejoin<P: NodeProgram>(
 }
 
 /// Append this round's sends and receives to the transcripts of the nodes
-/// that were active when the round started. Both views are sender-major:
-/// this round node `v` received `prev.get(u, v)` from `u` and sent
-/// `cur.get(v, u)` to `u`.
-fn record_round(
-    transcripts: &mut [Transcript],
-    active: &[bool],
-    prev: &BufView<'_>,
-    cur: &BufView<'_>,
-    n: usize,
-) {
-    for v in 0..n {
+/// that were active when the round started. Both buffers are sender rows:
+/// this round node `v` received `prev[u].get(u, v)` from `u` and sent
+/// `cur[v].get(v, u)` to `u`.
+fn record_round(transcripts: &mut [Transcript], active: &[bool], prev: &[Row], cur: &[Row]) {
+    for (v, (ts, mine)) in transcripts.iter_mut().zip(cur).enumerate() {
         if !active[v] {
             continue;
         }
         let mut rt = RoundTranscript::default();
-        for u in 0..n {
-            let got = prev.get(u, v);
+        for (u, theirs) in prev.iter().enumerate() {
+            let got = theirs.get(u, v);
             if !got.is_empty() {
                 rt.received.push((NodeId::from(u), got.clone()));
             }
-            let put = cur.get(v, u);
-            if !put.is_empty() {
-                rt.sent.push((NodeId::from(u), put.clone()));
-            }
         }
-        transcripts[v].rounds.push(rt);
+        rt.sent = mine
+            .iter(v)
+            .map(|(u, m)| (NodeId::from(u), m.clone()))
+            .collect();
+        ts.rounds.push(rt);
     }
 }
 

@@ -66,7 +66,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::bits::BitString;
-use crate::delivery::{BufView, BufViewMut};
+use crate::delivery::Row;
 use crate::node::NodeId;
 use crate::stats::RunStats;
 
@@ -470,13 +470,12 @@ impl FaultPlan {
         &self,
         round: usize,
         halted: &mut [bool],
-        inbound: &BufView<'_>,
+        inbound: &[Row],
         report: &mut FaultReport,
     ) {
         if self.crashes.is_empty() {
             return;
         }
-        let n = inbound.n();
         for (v, h) in halted.iter_mut().enumerate() {
             // Exact-round membership, not the earliest crash round: with
             // rejoins a node can crash, come back, and crash again. A node
@@ -488,11 +487,8 @@ impl FaultPlan {
             *h = true;
             let mut lost_messages = 0u64;
             let mut lost_bits = 0u64;
-            for u in 0..n {
-                if u == v {
-                    continue;
-                }
-                let m = inbound.get(u, v);
+            for (u, row) in inbound.iter().enumerate() {
+                let m = row.get(u, v);
                 if !m.is_empty() {
                     lost_messages += 1;
                     lost_bits += m.len() as u64;
@@ -510,18 +506,18 @@ impl FaultPlan {
     /// Apply link faults to the buffer written in `round` (it will be read
     /// next round). Sweep order is sender-major and decisions are keyed per
     /// `(seed, round, from, to)`, so the result is independent of pool
-    /// shape *and* of delivery backend.
+    /// shape *and* of delivery format.
     pub(crate) fn apply_link_faults(
         &self,
         round: usize,
-        cur: &mut BufViewMut<'_>,
+        cur: &mut [Row],
         report: &mut FaultReport,
     ) {
         if !self.has_link_faults() {
             return;
         }
-        for v in 0..cur.n() {
-            cur.for_each_msg_mut(v, |u, m| self.fault_one(round, v, u, m, report));
+        for (v, row) in cur.iter_mut().enumerate() {
+            row.for_each_msg_mut(v, |u, m| self.fault_one(round, v, u, m, report));
         }
     }
 
@@ -818,6 +814,7 @@ pub fn sync_overhead(n: usize, plan: &FaultPlan, width: usize) -> SyncOverhead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delivery::with_rows;
 
     #[test]
     fn empty_plan_is_empty_and_labelled() {
@@ -1080,8 +1077,8 @@ mod tests {
         let mut b = mk_matrix();
         let mut ra = FaultReport::default();
         let mut rb = FaultReport::default();
-        plan.apply_link_faults(3, &mut BufViewMut::dense(&mut a, n), &mut ra);
-        plan.apply_link_faults(3, &mut BufViewMut::dense(&mut b, n), &mut rb);
+        with_rows(&mut a, n, |rows| plan.apply_link_faults(3, rows, &mut ra));
+        with_rows(&mut b, n, |rows| plan.apply_link_faults(3, rows, &mut rb));
         assert_eq!(a, b);
         assert_eq!(ra, rb);
         // With p = 0.5 over 30 messages, both outcomes occur.
@@ -1101,7 +1098,9 @@ mod tests {
         m[2] = BitString::from_bits([true, true, true]); // 0 → 2
         m[n] = BitString::from_bits([true, true, true]); // 1 → 0
         let mut report = FaultReport::default();
-        plan.apply_link_faults(1, &mut BufViewMut::dense(&mut m, n), &mut report);
+        with_rows(&mut m, n, |rows| {
+            plan.apply_link_faults(1, rows, &mut report)
+        });
         assert_eq!(
             m[1],
             BitString::from_bits([false, true, true]),
@@ -1113,7 +1112,7 @@ mod tests {
         let mut m2 = vec![BitString::new(); n * n];
         m2[1] = BitString::from_bits([true]);
         let mut r2 = FaultReport::default();
-        plan.apply_link_faults(0, &mut BufViewMut::dense(&mut m2, n), &mut r2);
+        with_rows(&mut m2, n, |rows| plan.apply_link_faults(0, rows, &mut r2));
         assert!(r2.is_empty());
         assert_eq!(m2[1].len(), 1);
     }
@@ -1126,7 +1125,9 @@ mod tests {
         let mut inbound = vec![BitString::new(); n * n];
         inbound[1] = BitString::from_bits([true, true]); // 0 → 1, never read
         let mut report = FaultReport::default();
-        plan.apply_crashes(4, &mut halted, &BufView::dense(&inbound, n), &mut report);
+        with_rows(&mut inbound, n, |rows| {
+            plan.apply_crashes(4, &mut halted, rows, &mut report)
+        });
         assert!(halted[1]);
         assert_eq!(
             report.events,
@@ -1139,7 +1140,9 @@ mod tests {
         );
         // Already-halted nodes are not crashed again.
         let mut r2 = FaultReport::default();
-        plan.apply_crashes(4, &mut halted, &BufView::dense(&inbound, n), &mut r2);
+        with_rows(&mut inbound, n, |rows| {
+            plan.apply_crashes(4, &mut halted, rows, &mut r2)
+        });
         assert!(r2.is_empty());
     }
 
@@ -1195,7 +1198,9 @@ mod tests {
         m[1] = BitString::from_bits([true, false, true, false]);
         let before = m[1].clone();
         let mut report = FaultReport::default();
-        plan.apply_link_faults(0, &mut BufViewMut::dense(&mut m, n), &mut report);
+        with_rows(&mut m, n, |rows| {
+            plan.apply_link_faults(0, rows, &mut report)
+        });
         assert_eq!(m[1].len(), before.len());
         assert_ne!(m[1], before, "exactly one bit differs");
         let differing = before
@@ -1209,7 +1214,9 @@ mod tests {
         let mut m = vec![BitString::new(); n * n];
         m[1] = BitString::from_bits([true, false, true, false]);
         let mut report = FaultReport::default();
-        plan.apply_link_faults(0, &mut BufViewMut::dense(&mut m, n), &mut report);
+        with_rows(&mut m, n, |rows| {
+            plan.apply_link_faults(0, rows, &mut report)
+        });
         assert!(m[1].len() < 4, "strict prefix");
     }
 }

@@ -6,8 +6,8 @@
 //! unlimited local computation, and fills its [`Outbox`] (at most one
 //! bandwidth-bounded message per other node).
 
-use crate::bits::{BitString, EMPTY};
-use crate::delivery::SparseRow;
+use crate::bits::BitString;
+use crate::delivery::{Row, SparseRow};
 
 /// Identity of a node. The paper numbers nodes `1..=n`; internally we use
 /// `0..n` and expose [`NodeId::display`] for one-based reporting.
@@ -112,29 +112,24 @@ impl<T: NodeProgram + ?Sized> NodeProgram for Box<T> {
 /// Messages received by one node in one round.
 ///
 /// Logically, slot `u` holds the message from node `u`; an empty
-/// [`BitString`] means node `u` sent nothing. Physically the inbox is a view
-/// into whichever delivery backend the engine is running: a *strided view*
-/// into the dense sender-major matrix (the message from `u` lives at
-/// `slots[u * stride + offset]`), or a lookup into the sparse backend's
-/// compacted per-sender rows. Either way delivery is a buffer swap, never an
-/// O(n²) transpose. Standalone harnesses use the flat layout (`stride = 1`,
-/// `offset = 0`) via [`Inbox::from_slots`].
+/// [`BitString`] means node `u` sent nothing. Inside the engine the inbox
+/// is a view over last round's sender rows — the message from `u` is read
+/// out of `u`'s row in whichever format the run uses — so delivery is a
+/// buffer swap, never an O(n²) transpose. Standalone harnesses hand in one
+/// flat slot per sender via [`Inbox::from_slots`].
 pub struct Inbox<'a> {
     inner: InboxInner<'a>,
     n: usize,
     me: usize,
 }
 
-/// Backend-specific storage behind an [`Inbox`].
+/// Storage behind an [`Inbox`].
+#[derive(Clone, Copy)]
 enum InboxInner<'a> {
-    /// Strided view into a flat slice of message slots.
-    Slots {
-        slots: &'a [BitString],
-        stride: usize,
-        offset: usize,
-    },
-    /// Sealed per-sender rows of the sparse backend.
-    Sparse { rows: &'a [SparseRow] },
+    /// One flat slot per sender (harnesses).
+    Slots(&'a [BitString]),
+    /// The engine's sealed sender rows.
+    Rows(&'a [Row]),
 }
 
 impl<'a> Inbox<'a> {
@@ -145,61 +140,31 @@ impl<'a> Inbox<'a> {
     /// transcript replay of Theorem 3's normal form.
     pub fn from_slots(slots: &'a [BitString], me: usize) -> Self {
         Self {
-            inner: InboxInner::Slots {
-                slots,
-                stride: 1,
-                offset: 0,
-            },
+            inner: InboxInner::Slots(slots),
             n: slots.len(),
             me,
         }
     }
 
-    /// Build a transposed view into a sender-major `n × n` message matrix:
-    /// the message from `u` to `me` is `matrix[u * n + me]`.
-    pub(crate) fn transposed(matrix: &'a [BitString], n: usize, me: usize) -> Self {
-        debug_assert_eq!(matrix.len(), n * n);
+    /// Build node `me`'s view over a buffer of sealed sender rows (row `u`
+    /// = what node `u` sent).
+    pub(crate) fn rows(rows: &'a [Row], me: usize) -> Self {
         Self {
-            inner: InboxInner::Slots {
-                slots: matrix,
-                stride: n,
-                offset: me,
-            },
-            n,
-            me,
-        }
-    }
-
-    /// Build a view into the sparse backend's sealed per-sender rows.
-    pub(crate) fn sparse(rows: &'a [SparseRow], n: usize, me: usize) -> Self {
-        debug_assert_eq!(rows.len(), n);
-        Self {
-            inner: InboxInner::Sparse { rows },
-            n,
+            inner: InboxInner::Rows(rows),
+            n: rows.len(),
             me,
         }
     }
 
     /// The message from node `from` (empty if none). A node never receives
     /// from itself; that slot is always empty.
+    // Inlined into programs in other crates, which call it once per sender
+    // per round.
+    #[inline]
     pub fn from(&self, from: NodeId) -> &'a BitString {
-        match &self.inner {
-            InboxInner::Slots {
-                slots,
-                stride,
-                offset,
-            } => {
-                let slots: &'a [BitString] = slots;
-                &slots[from.index() * stride + offset]
-            }
-            InboxInner::Sparse { rows } => {
-                let rows: &'a [SparseRow] = rows;
-                if from.index() == self.me {
-                    &EMPTY
-                } else {
-                    rows[from.index()].get(self.me)
-                }
-            }
+        match self.inner {
+            InboxInner::Slots(slots) => &slots[from.index()],
+            InboxInner::Rows(rows) => rows[from.index()].get(from.index(), self.me),
         }
     }
 
@@ -222,43 +187,42 @@ impl<'a> Inbox<'a> {
 /// Messages sent by one node in one round: at most one per other node, each
 /// at most `bandwidth` bits (the engine enforces the bound on delivery).
 ///
-/// Borrows its slot row (or compacted sparse row) from the engine's send
-/// buffer so that node steps can run in parallel without per-round
-/// allocation.
+/// Borrows its sender row from the engine's send buffer so that node steps
+/// can run in parallel without per-round allocation.
 pub struct Outbox<'a> {
     inner: OutboxInner<'a>,
     n: usize,
     me: usize,
 }
 
-/// Backend-specific storage behind an [`Outbox`].
+/// Storage behind an [`Outbox`].
 enum OutboxInner<'a> {
-    /// One flat slot per recipient (dense backend and harnesses).
-    Slots { slots: &'a mut [BitString] },
-    /// The sender's compacted row in the sparse backend.
-    Sparse { row: &'a mut SparseRow },
+    /// One flat slot per recipient (dense rows and harnesses).
+    Slots(&'a mut [BitString]),
+    /// A sparse row.
+    Sparse(&'a mut SparseRow),
 }
 
 impl<'a> Outbox<'a> {
     /// Build an outbox over raw slots (slot `u` = message to node `u`).
     ///
     /// Public for the same out-of-engine harnesses as
-    /// [`Inbox::from_slots`]; inside the engine the slots are rows of its
-    /// send buffer.
+    /// [`Inbox::from_slots`]; inside the engine the slots are a dense
+    /// sender row.
     pub fn new(slots: &'a mut [BitString], me: usize) -> Self {
         let n = slots.len();
         Self {
-            inner: OutboxInner::Slots { slots },
+            inner: OutboxInner::Slots(slots),
             n,
             me,
         }
     }
 
-    /// Build an outbox over a cleared sparse-backend row.
-    pub(crate) fn sparse(row: &'a mut SparseRow, n: usize, me: usize) -> Self {
+    /// Build an outbox over a cleared sparse row.
+    pub(crate) fn sparse(row: &'a mut SparseRow, me: usize) -> Self {
         Self {
-            inner: OutboxInner::Sparse { row },
-            n,
+            n: row.n(),
+            inner: OutboxInner::Sparse(row),
             me,
         }
     }
@@ -280,8 +244,8 @@ impl<'a> Outbox<'a> {
             to.index()
         );
         match &mut self.inner {
-            OutboxInner::Slots { slots } => slots[to.index()] = msg,
-            OutboxInner::Sparse { row } => row.send(to.0, msg),
+            OutboxInner::Slots(slots) => slots[to.index()] = msg,
+            OutboxInner::Sparse(row) => row.send(to.0, msg),
         }
     }
 
@@ -289,14 +253,14 @@ impl<'a> Outbox<'a> {
     /// costs the same as n-1 unicasts in this model).
     pub fn broadcast(&mut self, msg: &BitString) {
         match &mut self.inner {
-            OutboxInner::Slots { slots } => {
+            OutboxInner::Slots(slots) => {
                 for (u, slot) in slots.iter_mut().enumerate() {
                     if u != self.me {
                         slot.copy_from(msg);
                     }
                 }
             }
-            OutboxInner::Sparse { row } => row.set_broadcast(msg),
+            OutboxInner::Sparse(row) => row.set_broadcast(msg),
         }
     }
 
@@ -309,6 +273,7 @@ impl<'a> Outbox<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delivery::DeliveryMode;
 
     #[test]
     fn node_id_display_is_one_based() {
@@ -348,9 +313,9 @@ mod tests {
     #[test]
     fn sparse_outbox_and_inbox_round_trip() {
         let n = 4;
-        let mut rows: Vec<SparseRow> = (0..n).map(|_| SparseRow::default()).collect();
+        let mut rows: Vec<Row> = (0..n).map(|_| Row::new(DeliveryMode::Sparse, n)).collect();
         {
-            let mut ob = Outbox::sparse(&mut rows[1], n, 1);
+            let mut ob = rows[1].outbox(1);
             assert_eq!(ob.n(), n);
             ob.broadcast(&BitString::from_bits([true, false]));
             ob.send(NodeId(3), BitString::from_bits([false]));
@@ -358,10 +323,10 @@ mod tests {
         for r in &mut rows {
             r.seal();
         }
-        let ib = Inbox::sparse(&rows, n, 3);
+        let ib = Inbox::rows(&rows, 3);
         assert_eq!(ib.from(NodeId(1)), &BitString::from_bits([false]));
         assert!(ib.from(NodeId(3)).is_empty(), "self slot is empty");
-        let ib0 = Inbox::sparse(&rows, n, 0);
+        let ib0 = Inbox::rows(&rows, 0);
         assert_eq!(ib0.from(NodeId(1)), &BitString::from_bits([true, false]));
         let got: Vec<_> = ib0.iter().map(|(u, m)| (u.index(), m.len())).collect();
         assert_eq!(got, vec![(1, 2)]);
@@ -387,23 +352,5 @@ mod tests {
         assert_eq!(got, vec![(0, 1), (2, 2)]);
         assert_eq!(ib.from(NodeId(0)).len(), 1);
         assert!(ib.from(NodeId(1)).is_empty());
-    }
-
-    #[test]
-    fn transposed_inbox_reads_sender_major_matrix() {
-        // 3×3 sender-major matrix: slot v*n+u = message v → u.
-        let n = 3;
-        let mut matrix = vec![BitString::new(); n * n];
-        matrix[n + 2] = BitString::from_bits([true]); // 1 → 2
-        matrix[2] = BitString::from_bits([false, true]); // 0 → 2
-        matrix[n] = BitString::from_bits([true, true, true]); // 1 → 0
-        let ib = Inbox::transposed(&matrix, n, 2);
-        assert_eq!(ib.from(NodeId(1)).len(), 1);
-        assert_eq!(ib.from(NodeId(0)).len(), 2);
-        let got: Vec<_> = ib.iter().map(|(u, m)| (u.index(), m.len())).collect();
-        assert_eq!(got, vec![(0, 2), (1, 1)]);
-        // Node 2 does not see the 1 → 0 message.
-        let ib0 = Inbox::transposed(&matrix, n, 0);
-        assert_eq!(ib0.from(NodeId(1)).len(), 3);
     }
 }
